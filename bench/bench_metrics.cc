@@ -163,9 +163,12 @@ void WriteSampleTrace(const std::string& path) {
   service::Session session = server.OpenSession("trace_demo");
 
   // Null dim ODs: the session binds the dimension table to its pinned
-  // catalog, so elision proofs run against the tenant's epoch memo.
+  // catalog, so elision proofs run against the tenant's epoch memo. The
+  // fact table gets its own (empty) catalog — the tenant's date-dimension
+  // ODs are stated over date_dim column ids.
   LogicalQuery q = warehouse::DailySalesQuery(&fact, &dim, &index, &parts,
                                               /*dim_ods=*/nullptr, 1999);
+  q.tables[0].ods = std::make_shared<theory::Theory>();
   CostModel cm;
   cm.fragment_startup = 0.0;
   PlanOptions opts;

@@ -464,19 +464,35 @@ std::optional<Relation> Session::Counterexample(
 opt::PhysicalPlan Session::Plan(opt::LogicalQuery q,
                                 const opt::CostModel& cost,
                                 const opt::PlanOptions& options) const {
+  std::vector<opt::TableRef*> unbound;
+  for (auto& table : q.tables) {
+    if (table.ods == nullptr && table.prover == nullptr) {
+      unbound.push_back(&table);
+    }
+  }
+  if (unbound.size() > 1) {
+    // The catalog's column ids mean one table's columns; bound to a second
+    // table it would "prove" orderings that table does not have.
+    std::string names;
+    for (const opt::TableRef* t : unbound) {
+      names += (names.empty() ? "" : ", ") + t->name;
+    }
+    throw std::invalid_argument(
+        "Session::Plan: tables " + names +
+        " all declare no catalog; the tenant catalog binds to at most one "
+        "table (give the others their own, e.g. an empty Theory)");
+  }
   tenant_->metrics.plans.Add();
   internal::RequestProfiler prof(tenant_, state_->prover.get(), epoch(),
                                  QueryProfile::Kind::kPlan, "service.plan");
   prof.profile().detail =
       std::to_string(q.tables.size()) + " tables, dop " +
       std::to_string(options.dop);
-  for (auto& table : q.tables) {
-    if (table.ods == nullptr && table.prover == nullptr) {
-      // Bind the pinned catalog AND its shared epoch prover, so the
-      // planner's elision proofs read and feed the (tenant, epoch) memo.
-      table.ods = state_->prover->shared_theory();
-      table.prover = state_->prover;
-    }
+  for (opt::TableRef* table : unbound) {
+    // Bind the pinned catalog AND its shared epoch prover, so the
+    // planner's elision proofs read and feed the (tenant, epoch) memo.
+    table->ods = state_->prover->shared_theory();
+    table->prover = state_->prover;
   }
   opt::PhysicalPlan plan = opt::PlanQuery(q, cost, options);
   // The plan remembers the request it was planned under, so a deferred

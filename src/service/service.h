@@ -179,10 +179,15 @@ class Session {
   /// if not implied (see Prover::Counterexample).
   std::optional<Relation> Counterexample(const OrderDependency& dep) const;
 
-  /// Cost-based physical planning against the pinned snapshot: every
-  /// table of `q` that declares no catalog of its own is bound to this
-  /// session's frozen theory AND its shared epoch prover, so the plan's
-  /// sort/join-elision proofs come from (and land in) the epoch memo.
+  /// Cost-based physical planning against the pinned snapshot: the table
+  /// of `q` that declares no catalog of its own is bound to this session's
+  /// frozen theory AND its shared epoch prover, so the plan's
+  /// sort/join-elision proofs come from (and land in) the epoch memo. A
+  /// tenant catalog is stated over one table's column ids, so at most one
+  /// table may be left unbound: with two or more, Plan throws
+  /// std::invalid_argument naming them (bind the others to catalogs of
+  /// their own, e.g. an empty Theory) instead of applying one table's ODs
+  /// to another's columns.
   opt::PhysicalPlan Plan(opt::LogicalQuery q,
                          const opt::CostModel& cost = opt::CostModel(),
                          const opt::PlanOptions& options =

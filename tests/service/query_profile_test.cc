@@ -24,6 +24,7 @@
 #include "engine/table.h"
 #include "service/flight_recorder.h"
 #include "service/service.h"
+#include "theory/theory.h"
 #include "warehouse/date_dim.h"
 #include "warehouse/queries.h"
 #include "warehouse/star_schema.h"
@@ -311,9 +312,11 @@ TEST_F(TracedServiceTest, DailySalesExchangeSpansParentUnderRequest) {
   Session s = server.OpenSession("qp_traced");
 
   // Null dim ODs: the session binds its pinned catalog, exactly like the
-  // PlanAgainstPinnedSnapshot contract.
+  // PlanAgainstPinnedSnapshot contract. store_sales gets an empty catalog
+  // of its own: the tenant's ODs are stated over date_dim column ids.
   opt::LogicalQuery q = warehouse::DailySalesQuery(
       &fact, &dim, &index, &parts, /*dim_ods=*/nullptr, 1999);
+  q.tables[0].ods = std::make_shared<theory::Theory>();
   opt::CostModel cm;
   cm.fragment_startup = 0.0;  // make dop-4 the winning plan
   opt::PlanOptions popts;

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,9 +16,13 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "engine/index.h"
+#include "engine/ops.h"
 #include "engine/table.h"
 #include "service/service.h"
+#include "theory/theory.h"
+#include "warehouse/date_dim.h"
 #include "warehouse/queries.h"
+#include "warehouse/star_schema.h"
 #include "warehouse/tax_schedule.h"
 
 namespace od {
@@ -207,6 +212,46 @@ TEST(ServiceTest, PlanAgainstPinnedSnapshot) {
   EXPECT_EQ(fresh.snapshot().deps.Size(), 0);
   opt::PhysicalPlan cold_plan = fresh.Plan(q);
   EXPECT_EQ(cold_plan.sorts_elided(), 0);
+}
+
+TEST(ServiceTest, PlanBindsTheCatalogToOneTableOnly) {
+  // The tenant's date-dimension ODs are stated over date_dim column ids.
+  // Left unbound, store_sales would receive them too and the planner would
+  // "prove" orderings of fact columns that do not hold — so a query with
+  // two unbound tables is refused, by name.
+  engine::Table dim = warehouse::GenerateDateDim(1998, 3);
+  engine::Table fact = warehouse::GenerateStoreSales(
+      /*num_rows=*/8000, dim.col(0).Int(0), dim.num_rows(),
+      /*num_items=*/20, /*num_stores=*/5, /*seed=*/3);
+  engine::OrderedIndex index(&fact, engine::SortSpec{0});
+  Server server;
+  server.CreateTenant("w", warehouse::DateDimOds());
+  Session s = server.OpenSession("w");
+
+  opt::LogicalQuery q = warehouse::DailySalesQuery(
+      &fact, &dim, &index, /*fact_parts=*/nullptr, /*dim_ods=*/nullptr, 1999);
+  try {
+    s.Plan(q);
+    ADD_FAILURE() << "two unbound tables were planned";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("store_sales"), std::string::npos) << what;
+    EXPECT_NE(what.find("date_dim"), std::string::npos) << what;
+  }
+
+  // With store_sales bound to an empty catalog, only date_dim takes the
+  // tenant's ODs, and the answer equals the catalog-free plan's.
+  q.tables[0].ods = std::make_shared<theory::Theory>();
+  opt::PhysicalPlan plan = s.Plan(q);
+  EXPECT_EQ(plan.joins_elided(), 1) << plan.Explain();
+  opt::ExecStats stats;
+  engine::Table got = s.Execute(plan, &stats);
+  opt::LogicalQuery bare = warehouse::DailySalesQuery(
+      &fact, &dim, &index, /*fact_parts=*/nullptr, /*dim_ods=*/nullptr, 1999);
+  opt::ExecStats bare_stats;
+  engine::Table want = opt::PlanQuery(bare).Execute(&bare_stats);
+  EXPECT_EQ(got.num_rows(), 365);
+  EXPECT_TRUE(engine::SameRowMultiset(want, got));
 }
 
 TEST(ServiceTest, TenantsAreIsolated) {
