@@ -5,18 +5,17 @@
 //   GROUP BY d_year, d_quarter, d_moy
 //   ORDER BY d_year, d_quarter, d_moy
 //
-// Physical design per the paper: the data is clustered by a tree index on
-// (d_year, d_moy) — a stream in that order is free. Without OD knowledge
-// the optimizer cannot use it: quarter intervenes in both clauses and the
-// FD month → quarter cannot remove it from the ORDER BY, so the baseline
-// plans sort. With [d_moy] ↦ [d_quarter] (Theorem 8, Left Eliminate) both
-// clauses reduce to [d_year, d_moy], the clustered order provides them, and
-// no sort operator appears.
+// Physical design per the paper: the data is clustered on (d_year, d_moy)
+// — a stream in that order is free. Without OD knowledge the optimizer
+// cannot use it: quarter intervenes in both clauses and the FD
+// month → quarter cannot remove it from the ORDER BY, so the plan sorts.
+// With [d_moy] ↦ [d_quarter] (Theorem 8, Left Eliminate) both clauses
+// reduce to [d_year, d_moy], the clustered order provides them, and no
+// sort operator appears.
 //
-// Two paired measurements:
-//   * the ORDER BY half on the detail stream: full sort vs pass-through;
-//   * the GROUP BY half: hash aggregation + result sort vs stream
-//     aggregation over the clustered order.
+// Two ODs-on/off pairs on the streaming planner:
+//   * the ORDER BY half on the detail stream;
+//   * the GROUP BY half, with its ORDER BY.
 
 #include <benchmark/benchmark.h>
 
@@ -25,8 +24,8 @@
 
 #include "bench_util.h"
 #include "engine/ops.h"
-#include "optimizer/order_property.h"
-#include "optimizer/plan.h"
+#include "optimizer/planner.h"
+#include "theory/theory.h"
 #include "warehouse/date_dim.h"
 #include "warehouse/star_schema.h"
 
@@ -36,6 +35,7 @@ namespace {
 struct Workload {
   engine::Table clustered;  // physically ordered by (d_year, d_moy)
   engine::ColumnId year, quarter, moy, net;
+  std::shared_ptr<theory::Theory> ods;  // [d_moy] ↦ [d_quarter], joined ids
 
   explicit Workload(int64_t fact_rows) {
     engine::Table dim = warehouse::GenerateDateDim(1998, 5);
@@ -43,22 +43,35 @@ struct Workload {
         fact_rows, dim.col(0).Int(0), dim.num_rows(), 100, 10, 17);
     const warehouse::DateDimColumns d;
     const warehouse::StoreSalesColumns f;
-    engine::Table joined =
-        engine::HashJoin(fact, f.ss_sold_date_sk, dim, d.d_date_sk);
+    opt::LogicalQuery join;
+    join.name = "sales_with_dates";
+    join.tables = {opt::TableRef{"store_sales", &fact},
+                   opt::TableRef{"date_dim", &dim}};
+    join.joins = {opt::JoinClause{1, f.ss_sold_date_sk, d.d_date_sk}};
+    opt::ExecStats stats;
+    engine::Table joined = opt::PlanQuery(join).Execute(&stats);
     year = joined.Find("d_year");
     quarter = joined.Find("d_quarter");
     moy = joined.Find("d_moy");
     net = joined.Find("ss_net_paid");
     clustered = engine::SortBy(joined, {year, moy});
-  }
-
-  bool OdRewriteLicensed() const {
     DependencySet m;
     m.Add(AttributeList({moy}), AttributeList({quarter}));
-    opt::OrderReasoner reasoner(std::move(m));
-    return reasoner.Equivalent({year, quarter, moy}, {year, moy}) &&
-           reasoner.GroupsContiguousUnder({year, moy},
-                                          {year, quarter, moy});
+    ods = std::make_shared<theory::Theory>(std::move(m));
+  }
+
+  opt::LogicalQuery Query(bool group_by) const {
+    opt::LogicalQuery q;
+    q.name = group_by ? "group_by_year_quarter_moy"
+                      : "order_by_year_quarter_moy";
+    q.tables.push_back(opt::TableRef{"sales", &clustered, nullptr, nullptr,
+                                     ods});
+    q.order_by = {year, quarter, moy};
+    if (group_by) {
+      q.group_cols = {year, quarter, moy};
+      q.aggs = {{engine::AggSpec::Kind::kSum, net, "sum_net"}};
+    }
+    return q;
   }
 };
 
@@ -70,77 +83,34 @@ Workload& GetWorkload(int64_t rows) {
   return *it->second;
 }
 
-// --- ORDER BY year, quarter, moy over the detail stream -------------------
-
-void BM_OrderByWithSort(benchmark::State& state) {
-  Workload& w = GetWorkload(state.range(0));
-  for (auto _ : state) {
-    engine::Table sorted =
-        engine::SortBy(w.clustered, {w.year, w.quarter, w.moy});
-    benchmark::DoNotOptimize(sorted);
-  }
+void RunArm(benchmark::State& state, bool group_by, bool ods) {
+  const Workload& w = GetWorkload(state.range(0));
+  const opt::LogicalQuery q = w.Query(group_by);
+  bench::RunOdArm(state, q, ods,
+                  q.name + "/" + std::to_string(state.range(0)));
 }
 
-void BM_OrderByFromClusteredOrder(benchmark::State& state) {
-  Workload& w = GetWorkload(state.range(0));
-  if (!w.OdRewriteLicensed()) {
-    state.SkipWithError("OD reasoning failed to license the rewrite");
-    return;
-  }
-  for (auto _ : state) {
-    // The clustered (year, moy) stream IS the answer; materialization cost
-    // only (same output size as the sort plan).
-    opt::ExecStats stats;
-    engine::Table stream = opt::TableScan(&w.clustered)->Execute(&stats);
-    benchmark::DoNotOptimize(stream);
-  }
-}
+void BM_OrderByOdsOff(benchmark::State& state) { RunArm(state, false, false); }
+void BM_OrderByOdsOn(benchmark::State& state) { RunArm(state, false, true); }
+void BM_GroupByOdsOff(benchmark::State& state) { RunArm(state, true, false); }
+void BM_GroupByOdsOn(benchmark::State& state) { RunArm(state, true, true); }
 
-// --- GROUP BY year, quarter, moy (ordered output required) ----------------
-
-std::vector<engine::AggSpec> Aggs(const Workload& w) {
-  return {{engine::AggSpec::Kind::kSum, w.net, "sum_net"}};
-}
-
-void BM_GroupByHashThenSort(benchmark::State& state) {
-  Workload& w = GetWorkload(state.range(0));
-  for (auto _ : state) {
-    engine::Table grouped = engine::HashGroupBy(
-        w.clustered, {w.year, w.quarter, w.moy}, Aggs(w));
-    engine::Table sorted = engine::SortBy(grouped, {0, 1, 2});
-    benchmark::DoNotOptimize(sorted);
-  }
-}
-
-void BM_GroupByStreamNoSort(benchmark::State& state) {
-  Workload& w = GetWorkload(state.range(0));
-  if (!w.OdRewriteLicensed()) {
-    state.SkipWithError("OD reasoning failed to license the rewrite");
-    return;
-  }
-  for (auto _ : state) {
-    engine::Table grouped = engine::StreamGroupBy(
-        w.clustered, {w.year, w.quarter, w.moy}, Aggs(w));
-    benchmark::DoNotOptimize(grouped);
-  }
-}
-
-BENCHMARK(BM_OrderByWithSort)
+BENCHMARK(BM_OrderByOdsOff)
     ->Arg(50000)
     ->Arg(200000)
     ->Arg(800000)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_OrderByFromClusteredOrder)
+BENCHMARK(BM_OrderByOdsOn)
     ->Arg(50000)
     ->Arg(200000)
     ->Arg(800000)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GroupByHashThenSort)
+BENCHMARK(BM_GroupByOdsOff)
     ->Arg(50000)
     ->Arg(200000)
     ->Arg(800000)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GroupByStreamNoSort)
+BENCHMARK(BM_GroupByOdsOn)
     ->Arg(50000)
     ->Arg(200000)
     ->Arg(800000)
@@ -155,13 +125,11 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   const std::vector<std::string> sizes = {"/50000", "/200000", "/800000"};
   od::bench::PrintPairedSummary(
-      reporter,
-      "Example 1 ORDER BY: sort operator vs clustered (year, moy) order",
-      sizes, "BM_OrderByWithSort", "BM_OrderByFromClusteredOrder");
+      reporter, "Example 1 ORDER BY: ODs off (sort) vs on (clustered order)",
+      sizes, "BM_OrderByOdsOff", "BM_OrderByOdsOn");
   od::bench::PrintPairedSummary(
-      reporter,
-      "Example 1 GROUP BY: hash agg + sort vs OD stream agg (no sort)",
-      sizes, "BM_GroupByHashThenSort", "BM_GroupByStreamNoSort");
+      reporter, "Example 1 GROUP BY + ORDER BY: ODs off vs on (stream agg)",
+      sizes, "BM_GroupByOdsOff", "BM_GroupByOdsOn");
   benchmark::Shutdown();
-  return 0;
+  return reporter.errors() == 0 ? 0 : 1;
 }

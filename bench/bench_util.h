@@ -8,6 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "engine/ops.h"
+#include "optimizer/planner.h"
+
 namespace od {
 namespace bench {
 
@@ -18,7 +21,10 @@ class CapturingReporter : public benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& reports) override {
     for (const auto& run : reports) {
-      if (run.error_occurred) continue;
+      if (run.error_occurred) {
+        ++errors_;
+        continue;
+      }
       seconds_[run.benchmark_name()] =
           run.real_accumulated_time / static_cast<double>(run.iterations);
     }
@@ -26,6 +32,9 @@ class CapturingReporter : public benchmark::ConsoleReporter {
   }
 
   bool Has(const std::string& name) const { return seconds_.count(name) > 0; }
+  /// Runs that ended in SkipWithError — a bench whose answers disagree
+  /// exits non-zero on this, so a smoke run fails loudly.
+  int errors() const { return errors_; }
   double Seconds(const std::string& name) const {
     auto it = seconds_.find(name);
     return it == seconds_.end() ? 0.0 : it->second;
@@ -33,6 +42,7 @@ class CapturingReporter : public benchmark::ConsoleReporter {
 
  private:
   std::map<std::string, double> seconds_;
+  int errors_ = 0;
 };
 
 /// Prints rows of (label, baseline, variant) with per-row and average gain,
@@ -67,6 +77,50 @@ inline void PrintPairedSummary(const CapturingReporter& reporter,
                 total_gain / counted);
     std::printf("queries improved: %d of %d\n", improved, counted);
   }
+}
+
+/// The paper's ablation on one engine (Section 2.3): the same logical
+/// query with every table's catalog dropped, so the planner can prove
+/// only trivially true order facts.
+inline opt::LogicalQuery WithoutOds(opt::LogicalQuery q) {
+  for (opt::TableRef& t : q.tables) {
+    t.ods = nullptr;
+    t.prover = nullptr;
+  }
+  return q;
+}
+
+/// One arm of an ODs-on/off pair: plans `q` (with its ODs when `ods`,
+/// WithoutOds otherwise) and times Execute of that plan. Before timing,
+/// the arm checks that the ODs-on and ODs-off plans return the same row
+/// multiset — once per `check_key` — and reports SkipWithError otherwise:
+/// an elision that changes the answer is a bug, not a speedup. Counters:
+/// the executed plan's sorts, joins, rows scanned and partitions scanned.
+inline void RunOdArm(benchmark::State& state, const opt::LogicalQuery& q,
+                     bool ods, const std::string& check_key) {
+  static auto* verdicts = new std::map<std::string, bool>();
+  auto it = verdicts->find(check_key);
+  if (it == verdicts->end()) {
+    opt::ExecStats on_stats, off_stats;
+    const engine::Table on = opt::PlanQuery(q).Execute(&on_stats);
+    const engine::Table off = opt::PlanQuery(WithoutOds(q)).Execute(&off_stats);
+    it = verdicts->emplace(check_key, engine::SameRowMultiset(on, off)).first;
+  }
+  if (!it->second) {
+    state.SkipWithError("ODs-on and ODs-off plans return different answers");
+    return;
+  }
+  const opt::PhysicalPlan plan = opt::PlanQuery(ods ? q : WithoutOds(q));
+  opt::ExecStats stats;
+  for (auto _ : state) {
+    stats = opt::ExecStats();
+    engine::Table out = plan.Execute(&stats);
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["sorts"] = stats.sorts;
+  state.counters["joins"] = stats.joins;
+  state.counters["rows_scanned"] = static_cast<double>(stats.rows_scanned);
+  state.counters["partitions_scanned"] = stats.partitions_scanned;
 }
 
 }  // namespace bench

@@ -1,6 +1,7 @@
 // Example 1 and the Section 2.3 date rewrite, end to end: builds the star
-// schema, shows the baseline and OD-rewritten plans side by side (EXPLAIN
-// style), executes both, and verifies they agree.
+// schema, plans one date query without and with the date-dimension ODs,
+// shows both plans side by side (EXPLAIN), executes both, and verifies
+// they agree.
 
 #include <cstdio>
 #include <memory>
@@ -9,7 +10,7 @@
 #include "engine/ops.h"
 #include "optimizer/date_rewrite.h"
 #include "optimizer/order_property.h"
-#include "optimizer/plan.h"
+#include "optimizer/planner.h"
 #include "optimizer/reduce_order.h"
 #include "warehouse/date_dim.h"
 #include "warehouse/queries.h"
@@ -55,14 +56,16 @@ int main() {
               static_cast<long long>(range->second));
 
   engine::OrderedIndex fact_index(&fact, {0});
-  opt::PlanPtr baseline = opt::BuildBaselinePlan(&fact, &dim, q);
-  opt::PlanPtr rewritten = opt::BuildRewrittenPlan(&fact_index, q, *range);
-  std::printf("baseline plan:\n%s\nrewritten plan:\n%s\n",
-              baseline->Describe(1).c_str(), rewritten->Describe(1).c_str());
+  opt::PhysicalPlan baseline = opt::PlanQuery(warehouse::ToLogicalQuery(
+      q, &fact, &dim, &fact_index, nullptr, /*dim_ods=*/nullptr));
+  opt::PhysicalPlan rewritten = opt::PlanQuery(
+      warehouse::ToLogicalQuery(q, &fact, &dim, &fact_index, nullptr, catalog));
+  std::printf("baseline plan (no ODs):\n%s\nrewritten plan (ODs):\n%s\n",
+              baseline.Explain().c_str(), rewritten.Explain().c_str());
 
   opt::ExecStats base_stats, rw_stats;
-  engine::Table base_result = baseline->Execute(&base_stats);
-  engine::Table rw_result = rewritten->Execute(&rw_stats);
+  engine::Table base_result = baseline.Execute(&base_stats);
+  engine::Table rw_result = rewritten.Execute(&rw_stats);
   std::printf("results identical: %s\n",
               engine::SameRowMultiset(base_result, rw_result) ? "yes" : "NO");
   std::printf("baseline : %lld rows scanned, %d join(s)\n",

@@ -11,12 +11,12 @@
 namespace od {
 namespace engine {
 
-/// Relational operators over `Table`. Each materializes its result — the
-/// engine exists to compare *plan shapes* (with/without sorts, joins,
-/// partition scans), not to compete on raw execution speed.
+/// Storage-level helpers over `Table`: sorting, predicate evaluation and
+/// the specs the streaming executor (`src/exec`) consumes. Joins,
+/// aggregation, DISTINCT and projection are exec operators only.
 ///
-/// Every operator validates its ColumnId arguments once at entry and throws
-/// std::out_of_range for an invalid id — in particular the -1 that
+/// Every function validates its ColumnId arguments once at entry and
+/// throws std::out_of_range for an invalid id — in particular the -1 that
 /// `Schema::Find` returns for an unknown column name. Per-row accessors
 /// stay unchecked.
 
@@ -55,12 +55,10 @@ struct Predicate {
 std::vector<int64_t> FilterRowIds(const Table& t,
                                   const std::vector<Predicate>& preds);
 
-/// Materialized filter; preserves the input's ordering property.
-Table Filter(const Table& t, const std::vector<Predicate>& preds);
-
 // ---------------------------------------------------------------------------
 // Aggregation.
 
+/// One aggregate of a GROUP BY, as the exec aggregate operators take it.
 struct AggSpec {
   enum class Kind { kCount, kSum, kMin, kMax, kAvg };
   Kind kind;
@@ -68,47 +66,8 @@ struct AggSpec {
   std::string out_name;
 };
 
-/// Hash-based GROUP BY: no ordering requirement, unordered output (the
-/// result rows appear in first-seen order). Output schema: the group
-/// columns, then one column per aggregate.
-Table HashGroupBy(const Table& t, const std::vector<ColumnId>& group_cols,
-                  const std::vector<AggSpec>& aggs);
-
-/// Stream (sort-based) GROUP BY: requires rows with equal group keys to be
-/// contiguous — e.g. input sorted by any list that orders the group columns.
-/// Output preserves the input's group order, so its ordering property is the
-/// prefix of the input ordering that the group columns cover.
-Table StreamGroupBy(const Table& t, const std::vector<ColumnId>& group_cols,
-                    const std::vector<AggSpec>& aggs);
-
-/// DISTINCT via hashing / via an ordered stream (requires contiguity, as
-/// StreamGroupBy).
-Table HashDistinct(const Table& t, const std::vector<ColumnId>& cols);
-Table StreamDistinct(const Table& t, const std::vector<ColumnId>& cols);
-
-// ---------------------------------------------------------------------------
-// Joins (single-column int64 equi-joins — the star-schema surrogate keys).
-
-/// Output schema: all left columns, then all right columns (right column
-/// names prefixed with `right_prefix` if a name collides).
-Table HashJoin(const Table& left, ColumnId left_key, const Table& right,
-               ColumnId right_key, const std::string& right_prefix = "r_");
-
-/// Sort-merge join. If `assume_sorted` is false the inputs are sorted on
-/// their keys first (the cost the paper's order reasoning avoids) — but a
-/// side that IsSortedBy its key is merged in place without re-sorting.
-/// `input_sorts_paid` (optional) reports how many input sorts actually ran
-/// (0–2; always 0 under assume_sorted), for paid-vs-avoided accounting.
-Table SortMergeJoin(const Table& left, ColumnId left_key, const Table& right,
-                    ColumnId right_key, bool assume_sorted,
-                    const std::string& right_prefix = "r_",
-                    int* input_sorts_paid = nullptr);
-
 // ---------------------------------------------------------------------------
 // Misc.
-
-/// Keeps only `cols`, in the given order.
-Table Project(const Table& t, const std::vector<ColumnId>& cols);
 
 /// Concatenates tables with identical schemas.
 Table Concat(const std::vector<const Table*>& tables);

@@ -71,8 +71,9 @@ Table PartitionedTable::ScanRange(int64_t lo, int64_t hi,
     return empty;
   }
   Table combined = Concat(touched);
-  return Filter(combined, {Predicate{part_col_, Predicate::Op::kBetween,
-                                     Value(lo), Value(hi)}});
+  return combined.Gather(FilterRowIds(
+      combined, {Predicate{part_col_, Predicate::Op::kBetween, Value(lo),
+                           Value(hi)}}));
 }
 
 int PartitionedTable::CountOverlapping(int64_t lo, int64_t hi) const {

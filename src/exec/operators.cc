@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "exec/internal.h"
+
 namespace od {
 namespace exec {
 
@@ -18,89 +20,11 @@ using engine::Schema;
 using engine::SortSpec;
 using engine::Table;
 
-/// Same contract as the engine operators: ColumnId arguments are validated
-/// once at operator construction (catching Schema::Find's -1), per-row
-/// accessors stay unchecked.
-void CheckColumn(const Schema& s, ColumnId c, const char* op) {
-  if (c < 0 || c >= s.num_columns()) {
-    throw std::out_of_range(std::string(op) + ": column id " +
-                            std::to_string(c) + " out of range [0, " +
-                            std::to_string(s.num_columns()) + ")");
-  }
-}
-
-void CheckColumns(const Schema& s, const std::vector<ColumnId>& cols,
-                  const char* op) {
-  for (ColumnId c : cols) CheckColumn(s, c, op);
-}
-
-std::string SpecString(const SortSpec& spec) {
-  std::string out = "[";
-  for (size_t i = 0; i < spec.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(spec[i]);
-  }
-  return out + "]";
-}
-
-/// Output schema of a join: left columns, then right columns with
-/// colliding names prefixed (mirrors engine::HashJoin/SortMergeJoin).
-Schema JoinSchema(const Schema& left, const Schema& right,
-                  const std::string& right_prefix) {
-  Schema out;
-  for (int c = 0; c < left.num_columns(); ++c) {
-    out.Add(left.col(c).name, left.col(c).type);
-  }
-  for (int c = 0; c < right.num_columns(); ++c) {
-    std::string name = right.col(c).name;
-    if (out.Find(name) >= 0) name = right_prefix + name;
-    out.Add(name, right.col(c).type);
-  }
-  return out;
-}
-
-Schema AggOutputSchema(const Schema& in, const std::vector<ColumnId>& groups,
-                       const std::vector<AggSpec>& aggs) {
-  Schema out;
-  for (ColumnId c : groups) out.Add(in.col(c).name, in.col(c).type);
-  for (const auto& a : aggs) {
-    out.Add(a.out_name, a.kind == AggSpec::Kind::kCount ? DataType::kInt64
-                                                        : DataType::kDouble);
-  }
-  return out;
-}
-
-/// Aggregate accumulator (the engine's, restated for batch streams).
-struct Acc {
-  int64_t count = 0;
-  double sum = 0;
-  double min = 0;
-  double max = 0;
-  bool has = false;
-
-  void Add(double v) {
-    ++count;
-    sum += v;
-    // CompareDoubles, not raw `<`: NaN must order totally (ties with NaN,
-    // after every value) or min/max stop being associative — and the
-    // parallel merge of per-fragment accumulators relies on associativity.
-    if (!has || CompareDoubles(v, min) < 0) min = v;
-    if (!has || CompareDoubles(v, max) > 0) max = v;
-    has = true;
-  }
-  void AddCountOnly() { ++count; }
-
-  double Result(AggSpec::Kind kind) const {
-    switch (kind) {
-      case AggSpec::Kind::kCount: return static_cast<double>(count);
-      case AggSpec::Kind::kSum: return sum;
-      case AggSpec::Kind::kMin: return min;
-      case AggSpec::Kind::kMax: return max;
-      case AggSpec::Kind::kAvg: return count == 0 ? 0 : sum / count;
-    }
-    return 0;
-  }
-};
+using internal::AggOutputSchema;
+using internal::CheckColumn;
+using internal::CheckColumns;
+using internal::JoinSchema;
+using internal::SpecString;
 
 bool MatchesBatch(const Predicate& p, const Batch& b, int64_t row) {
   const Value v = b.col(p.col).Get(row);
@@ -427,16 +351,12 @@ class StreamAggregateOp : public OperatorBase {
         group_cols_(std::move(group_cols)),
         aggs_(std::move(aggs)),
         accs_(aggs_.size()) {
-    CheckColumns(child_->schema(), group_cols_, "exec::StreamAggregate");
-    for (const auto& a : aggs_) {
-      if (a.kind != AggSpec::Kind::kCount) {
-        CheckColumn(child_->schema(), a.col, "exec::StreamAggregate");
-      }
-    }
+    internal::CheckAggregateColumns(child_->schema(), group_cols_, aggs_,
+                                    "exec::StreamAggregate");
     schema_ = AggOutputSchema(child_->schema(), group_cols_, aggs_);
     rep_.Reset(child_->schema());
     // Output stays sorted by whatever prefix of the child's ordering the
-    // group columns cover (mirrors engine::StreamGroupBy).
+    // group columns cover.
     for (ColumnId c : child_->ordering()) {
       int pos = -1;
       for (size_t i = 0; i < group_cols_.size(); ++i) {
@@ -466,13 +386,7 @@ class StreamAggregateOp : public OperatorBase {
           rep_.AppendRows(scratch_, r, r + 1);
           has_group_ = true;
         }
-        for (size_t i = 0; i < aggs_.size(); ++i) {
-          if (aggs_[i].kind == AggSpec::Kind::kCount) {
-            accs_[i].AddCountOnly();
-          } else {
-            accs_[i].Add(scratch_.col(aggs_[i].col).Numeric(r));
-          }
-        }
+        internal::Accumulate(aggs_, scratch_, r, &accs_);
       }
     }
     return true;
@@ -490,21 +404,17 @@ class StreamAggregateOp : public OperatorBase {
       out->col(c++).AppendFrom(rep_.col(g), 0);
     }
     for (size_t i = 0; i < aggs_.size(); ++i) {
-      if (aggs_[i].kind == AggSpec::Kind::kCount) {
-        out->col(c++).AppendInt(accs_[i].count);
-      } else {
-        out->col(c++).AppendDouble(accs_[i].Result(aggs_[i].kind));
-      }
+      accs_[i].AppendResult(aggs_[i].kind, &out->col(c++));
     }
     out->FinishRow();
-    accs_.assign(aggs_.size(), Acc());
+    accs_.assign(aggs_.size(), internal::Acc());
     has_group_ = false;
   }
 
   OpPtr child_;
   std::vector<ColumnId> group_cols_;
   std::vector<AggSpec> aggs_;
-  std::vector<Acc> accs_;
+  std::vector<internal::Acc> accs_;
   Batch scratch_;
   Batch rep_;  // one row: the current group's representative
   bool has_group_ = false;
@@ -771,20 +681,22 @@ class HashAggregateOp : public OperatorBase {
       : child_(std::move(child)),
         group_cols_(std::move(group_cols)),
         aggs_(std::move(aggs)) {
-    CheckColumns(child_->schema(), group_cols_, "exec::HashAggregate");
-    for (const auto& a : aggs_) {
-      if (a.kind != AggSpec::Kind::kCount) {
-        CheckColumn(child_->schema(), a.col, "exec::HashAggregate");
-      }
-    }
+    internal::CheckAggregateColumns(child_->schema(), group_cols_, aggs_,
+                                    "exec::HashAggregate");
     schema_ = AggOutputSchema(child_->schema(), group_cols_, aggs_);
   }
 
   bool Next(Batch* out) override {
     PrepareBatch(out);
     if (!ready_) {
-      Table in = Drain(child_.get(), nullptr);
-      result_ = engine::HashGroupBy(in, group_cols_, aggs_);
+      // The same kernel as one ParallelHashAggregate fragment: stream the
+      // child's batches into one LocalAgg, emit groups in first-seen order.
+      child_->StartConsume("exec::HashAggregate");
+      internal::LocalAgg local;
+      Batch batch;
+      while (child_->Next(&batch)) local.Add(batch, group_cols_, aggs_);
+      result_ = Table(schema_);
+      local.Emit(aggs_, &result_);
       ready_ = true;
     }
     return EmitTableSlice(result_, &pos_, kDefaultBatchRows, out);

@@ -14,6 +14,7 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "core/value.h"
+#include "exec/internal.h"
 
 namespace od {
 namespace exec {
@@ -27,14 +28,9 @@ using engine::Schema;
 using engine::SortSpec;
 using engine::Table;
 
-std::string SpecStr(const SortSpec& spec) {
-  std::string out = "[";
-  for (size_t i = 0; i < spec.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(spec[i]);
-  }
-  return out + "]";
-}
+using internal::AggOutputSchema;
+using internal::JoinSchema;
+using internal::SpecString;
 
 bool IsPrefixOf(const SortSpec& spec, const SortSpec& ordering) {
   if (spec.size() > ordering.size()) return false;
@@ -236,7 +232,7 @@ class ExchangeOp : public Operator {
     std::string out = Pad(indent) + "Exchange fragments=" +
                       std::to_string(num_fragments_) + " streaming";
     if (mode_ == MergeMode::kOrderedMerge) {
-      out += " ordered-merge " + SpecStr(merge_spec_) + " (OD-proven)";
+      out += " ordered-merge " + SpecString(merge_spec_) + " (OD-proven)";
     } else {
       out += " union";
     }
@@ -291,9 +287,9 @@ class ExchangeOp : public Operator {
       // that cannot *claim* the merge order (planner-proven via
       // OrderReasoner) must not be merged order-preservingly.
       throw std::logic_error(
-          "exec::Exchange: ordered merge on " + SpecStr(merge_spec_) +
+          "exec::Exchange: ordered merge on " + SpecString(merge_spec_) +
           " but fragment " + std::to_string(i) + " only claims " +
-          SpecStr(frag->ordering()) + " — no OD proof, use kUnion + Sort");
+          SpecString(frag->ordering()) + " — no OD proof, use kUnion + Sort");
     }
   }
 
@@ -493,75 +489,6 @@ class ExchangeOp : public Operator {
 // ---------------------------------------------------------------------------
 // Partition-parallel aggregation.
 
-/// The engine's aggregate accumulator, restated: raw moments only, so
-/// partials from different workers merge exactly (avg = sum/count is
-/// finished after the merge, never merged itself).
-struct Acc {
-  int64_t count = 0;
-  double sum = 0;
-  double min = 0;
-  double max = 0;
-  bool has = false;
-
-  void Add(double v) {
-    ++count;
-    sum += v;
-    // CompareDoubles keeps min/max associative under NaN (NaN ties with
-    // NaN, orders after every value) — the exact property the fragment
-    // merge below needs to reproduce the serial stream's answer.
-    if (!has || CompareDoubles(v, min) < 0) min = v;
-    if (!has || CompareDoubles(v, max) > 0) max = v;
-    has = true;
-  }
-  void AddCountOnly() { ++count; }
-  void Merge(const Acc& o) {
-    count += o.count;
-    sum += o.sum;
-    if (o.has && (!has || CompareDoubles(o.min, min) < 0)) min = o.min;
-    if (o.has && (!has || CompareDoubles(o.max, max) > 0)) max = o.max;
-    has |= o.has;
-  }
-  double Result(AggSpec::Kind kind) const {
-    switch (kind) {
-      case AggSpec::Kind::kCount: return static_cast<double>(count);
-      case AggSpec::Kind::kSum: return sum;
-      case AggSpec::Kind::kMin: return min;
-      case AggSpec::Kind::kMax: return max;
-      case AggSpec::Kind::kAvg: return count == 0 ? 0 : sum / count;
-    }
-    return 0;
-  }
-};
-
-/// One worker's aggregation state: group-key string -> slot, plus the
-/// group's key values (for emitting) and one Acc per aggregate.
-struct LocalAgg {
-  std::unordered_map<std::string, int64_t> slots;
-  std::vector<std::vector<Value>> group_vals;
-  std::vector<std::vector<Acc>> accs;
-};
-
-std::string GroupKey(const Batch& b, int64_t row,
-                     const std::vector<ColumnId>& group_cols) {
-  std::string key;
-  for (ColumnId c : group_cols) {
-    key += b.col(c).Get(row).ToString();
-    key += '\x01';
-  }
-  return key;
-}
-
-Schema AggOutputSchema(const Schema& in, const std::vector<ColumnId>& groups,
-                       const std::vector<AggSpec>& aggs) {
-  Schema out;
-  for (ColumnId c : groups) out.Add(in.col(c).name, in.col(c).type);
-  for (const auto& a : aggs) {
-    out.Add(a.out_name, a.kind == AggSpec::Kind::kCount ? DataType::kInt64
-                                                        : DataType::kDouble);
-  }
-  return out;
-}
-
 class ParallelHashAggregateOp : public Operator {
  public:
   ParallelHashAggregateOp(int num_fragments, FragmentFactory factory,
@@ -588,19 +515,8 @@ class ParallelHashAggregateOp : public Operator {
           "exec::ParallelHashAggregate: null fragment");
     }
     const Schema& in = frag0_->schema();
-    for (ColumnId c : group_cols_) {
-      if (c < 0 || c >= in.num_columns()) {
-        throw std::out_of_range(
-            "exec::ParallelHashAggregate: group column out of range");
-      }
-    }
-    for (const auto& a : aggs_) {
-      if (a.kind != AggSpec::Kind::kCount &&
-          (a.col < 0 || a.col >= in.num_columns())) {
-        throw std::out_of_range(
-            "exec::ParallelHashAggregate: agg column out of range");
-      }
-    }
+    internal::CheckAggregateColumns(in, group_cols_, aggs_,
+                                    "exec::ParallelHashAggregate");
     schema_ = AggOutputSchema(in, group_cols_, aggs_);
     // ordering_ stays empty: hash aggregation has no output order.
     describe_child_ = frag0_->Describe(0);
@@ -626,7 +542,7 @@ class ParallelHashAggregateOp : public Operator {
   std::string Describe(int indent) const override {
     std::string out = Pad(indent) + "ParallelHashAggregate fragments=" +
                       std::to_string(num_fragments_) + " groups=" +
-                      SpecStr(group_cols_) +
+                      SpecString(group_cols_) +
                       " (thread-local build + merge)\n";
     std::string child = describe_child_;
     size_t start = 0;
@@ -642,7 +558,7 @@ class ParallelHashAggregateOp : public Operator {
  private:
   void BuildAndMerge() {
     const int n = num_fragments_;
-    std::vector<LocalAgg> locals(n);
+    std::vector<internal::LocalAgg> locals(n);
     // Fragments are built *inside* their tasks (fragment 0 was pre-built
     // for the schema) and drained into per-fragment LocalAggs; with a null
     // or single-threaded pool TaskGroup::Submit degenerates to running
@@ -655,32 +571,8 @@ class ParallelHashAggregateOp : public Operator {
             "exec::ParallelHashAggregate: null fragment");
       }
       frag->StartConsume("exec::ParallelHashAggregate");
-      LocalAgg& local = locals[i];
       Batch batch;
-      while (frag->Next(&batch)) {
-        for (int64_t r = 0; r < batch.num_rows(); ++r) {
-          std::string key = GroupKey(batch, r, group_cols_);
-          auto [it, inserted] = local.slots.try_emplace(
-              std::move(key), static_cast<int64_t>(local.accs.size()));
-          if (inserted) {
-            std::vector<Value> vals;
-            vals.reserve(group_cols_.size());
-            for (ColumnId c : group_cols_) {
-              vals.push_back(batch.col(c).Get(r));
-            }
-            local.group_vals.push_back(std::move(vals));
-            local.accs.emplace_back(aggs_.size());
-          }
-          std::vector<Acc>& accs = local.accs[it->second];
-          for (size_t a = 0; a < aggs_.size(); ++a) {
-            if (aggs_[a].kind == AggSpec::Kind::kCount) {
-              accs[a].AddCountOnly();
-            } else {
-              accs[a].Add(batch.col(aggs_[a].col).Numeric(r));
-            }
-          }
-        }
-      }
+      while (frag->Next(&batch)) locals[i].Add(batch, group_cols_, aggs_);
     };
     {
       common::TaskGroup group(pool_);
@@ -689,39 +581,12 @@ class ParallelHashAggregateOp : public Operator {
       }
       group.Wait();  // rethrows the first fragment failure
     }
-    // Single-threaded merge, fragment order: deterministic group order.
-    LocalAgg merged;
-    for (LocalAgg& local : locals) {
-      for (auto& [key, slot] : local.slots) {
-        auto [it, inserted] = merged.slots.try_emplace(
-            key, static_cast<int64_t>(merged.accs.size()));
-        if (inserted) {
-          merged.group_vals.push_back(std::move(local.group_vals[slot]));
-          merged.accs.push_back(std::move(local.accs[slot]));
-        } else {
-          std::vector<Acc>& into = merged.accs[it->second];
-          for (size_t a = 0; a < aggs_.size(); ++a) {
-            into[a].Merge(local.accs[slot][a]);
-          }
-        }
-      }
-    }
+    // Single-threaded merge in fragment order, then slot order: groups
+    // come out in first-seen order, as from the serial HashAggregate.
+    internal::LocalAgg merged;
+    for (internal::LocalAgg& local : locals) merged.Merge(std::move(local));
     result_ = Table(schema_);
-    for (size_t g = 0; g < merged.accs.size(); ++g) {
-      int c = 0;
-      for (const Value& v : merged.group_vals[g]) {
-        result_.col(c++).Append(v);
-      }
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        if (aggs_[a].kind == AggSpec::Kind::kCount) {
-          result_.col(c++).AppendInt(merged.accs[g][a].count);
-        } else {
-          result_.col(c++).AppendDouble(
-              merged.accs[g][a].Result(aggs_[a].kind));
-        }
-      }
-      result_.FinishRow();
-    }
+    merged.Emit(aggs_, &result_);
     if (stats_ != nullptr) {
       stats_->fragments += n;
       for (const opt::ExecStats& fs : frag_stats_) {
@@ -790,7 +655,7 @@ class CombinePartialAggregatesOp : public Operator {
     if (covered < num_groups_) {
       throw std::logic_error(
           "exec::CombinePartialAggregates: child ordering " +
-          SpecStr(ord) + " does not make the " +
+          SpecString(ord) + " does not make the " +
           std::to_string(num_groups_) +
           " group columns contiguous — partial groups could reappear");
     }
@@ -841,7 +706,7 @@ class CombinePartialAggregatesOp : public Operator {
       pending_.Clear();
     }
     pending_.AppendRows(b, r, r + 1);
-    accs_.assign(kinds_.size(), Acc());
+    accs_.assign(kinds_.size(), internal::Acc());
     Fold(b, r);
     have_pending_ = true;
   }
@@ -849,7 +714,7 @@ class CombinePartialAggregatesOp : public Operator {
   void Fold(const Batch& b, int64_t r) {
     for (size_t a = 0; a < kinds_.size(); ++a) {
       const int col = num_groups_ + static_cast<int>(a);
-      Acc& acc = accs_[a];
+      internal::Acc& acc = accs_[a];
       switch (kinds_[a]) {
         case AggSpec::Kind::kCount:
           acc.count += b.col(col).Int(r);
@@ -874,23 +739,8 @@ class CombinePartialAggregatesOp : public Operator {
       out->col(c).AppendFrom(pending_.col(c), 0);
     }
     for (size_t a = 0; a < kinds_.size(); ++a) {
-      const int c = num_groups_ + static_cast<int>(a);
-      switch (kinds_[a]) {
-        case AggSpec::Kind::kCount:
-          out->col(c).AppendInt(accs_[a].count);
-          break;
-        case AggSpec::Kind::kSum:
-          out->col(c).AppendDouble(accs_[a].sum);
-          break;
-        case AggSpec::Kind::kMin:
-          out->col(c).AppendDouble(accs_[a].min);
-          break;
-        case AggSpec::Kind::kMax:
-          out->col(c).AppendDouble(accs_[a].max);
-          break;
-        case AggSpec::Kind::kAvg:
-          break;
-      }
+      accs_[a].AppendResult(kinds_[a],
+                            &out->col(num_groups_ + static_cast<int>(a)));
     }
     out->FinishRow();
   }
@@ -901,26 +751,12 @@ class CombinePartialAggregatesOp : public Operator {
   std::vector<ColumnId> group_ids_;
   Batch scratch_;
   Batch pending_;  // one row: the group being accumulated
-  std::vector<Acc> accs_;
+  std::vector<internal::Acc> accs_;
   bool have_pending_ = false;
 };
 
 // ---------------------------------------------------------------------------
 // Shared-build parallel hash join.
-
-Schema JoinSchema(const Schema& left, const Schema& right,
-                  const std::string& right_prefix) {
-  Schema out;
-  for (int c = 0; c < left.num_columns(); ++c) {
-    out.Add(left.col(c).name, left.col(c).type);
-  }
-  for (int c = 0; c < right.num_columns(); ++c) {
-    std::string name = right.col(c).name;
-    if (out.Find(name) >= 0) name = right_prefix + name;
-    out.Add(name, right.col(c).type);
-  }
-  return out;
-}
 
 class HashProbeOp : public Operator {
  public:

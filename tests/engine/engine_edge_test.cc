@@ -1,6 +1,9 @@
-// Edge-case and failure-injection tests for the engine operators: empty
-// inputs, single rows, all-equal keys, ordering-property propagation, and
-// schema handling under joins.
+// Edge-case and failure-injection tests for the engine's storage helpers
+// (sort, filter, index, partitions) and the ordering-property and schema
+// handling of the exec operators built on them: empty inputs, single rows,
+// all-equal keys, ordering-property propagation, and schema handling under
+// joins. The exec operators' results on these inputs are checked against
+// the naive oracle in tests/exec/exec_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +13,7 @@
 #include "engine/ops.h"
 #include "engine/partition.h"
 #include "engine/table.h"
+#include "exec/operator.h"
 
 namespace od {
 namespace engine {
@@ -26,14 +30,8 @@ TEST(EngineEdgeTest, EmptyTableOperations) {
   Table t = EmptyTable();
   EXPECT_EQ(SortBy(t, {0}).num_rows(), 0);
   EXPECT_TRUE(IsSortedBy(t, {0, 1}));
-  EXPECT_EQ(Filter(t, {Predicate{0, Predicate::Op::kEq, Value(1)}}).num_rows(),
-            0);
-  EXPECT_EQ(HashGroupBy(t, {0}, {{AggSpec::Kind::kSum, 1, "s"}}).num_rows(),
-            0);
-  EXPECT_EQ(StreamGroupBy(t, {0}, {{AggSpec::Kind::kSum, 1, "s"}}).num_rows(),
-            0);
-  EXPECT_EQ(HashJoin(t, 0, t, 0).num_rows(), 0);
-  EXPECT_EQ(SortMergeJoin(t, 0, t, 0, false).num_rows(), 0);
+  EXPECT_TRUE(
+      FilterRowIds(t, {Predicate{0, Predicate::Op::kEq, Value(1)}}).empty());
   OrderedIndex idx(&t, {0});
   EXPECT_EQ(idx.ScanAll().num_rows(), 0);
   EXPECT_FALSE(idx.MinKeyAtLeast(0).has_value());
@@ -43,21 +41,25 @@ TEST(EngineEdgeTest, SingleRow) {
   Table t = EmptyTable();
   t.AppendRow({Value(7), Value(1.5)});
   EXPECT_TRUE(IsSortedBy(t, {0}));
-  Table g = StreamGroupBy(t, {0}, {{AggSpec::Kind::kCount, 0, "c"}});
-  EXPECT_EQ(g.num_rows(), 1);
-  EXPECT_EQ(g.col(1).Int(0), 1);
+  bool was_sorted = false;
+  Table sorted = SortBy(t, {1, 0}, &was_sorted);
+  EXPECT_TRUE(was_sorted);
+  EXPECT_EQ(sorted.num_rows(), 1);
+  EXPECT_EQ(sorted.ordering(), (SortSpec{1, 0}));
 }
 
 TEST(EngineEdgeTest, AllEqualKeys) {
   Table t = EmptyTable();
   for (int i = 0; i < 5; ++i) t.AppendRow({Value(3), Value(1.0 * i)});
   EXPECT_TRUE(IsSortedBy(t, {0}));
-  Table g = HashGroupBy(t, {0}, {{AggSpec::Kind::kSum, 1, "s"}});
-  EXPECT_EQ(g.num_rows(), 1);
-  EXPECT_DOUBLE_EQ(g.col(1).Double(0), 10.0);
-  // Self-join explodes to 25 rows.
-  EXPECT_EQ(HashJoin(t, 0, t, 0).num_rows(), 25);
-  EXPECT_EQ(SortMergeJoin(t, 0, t, 0, true).num_rows(), 25);
+  // Sorting on the all-equal key is stable: rows keep their order.
+  Table sorted = SortBy(t, {0});
+  for (int64_t i = 0; i < 5; ++i) {
+    EXPECT_DOUBLE_EQ(sorted.col(1).Double(i), 1.0 * i);
+  }
+  EXPECT_EQ(FilterRowIds(t, {Predicate{0, Predicate::Op::kEq, Value(3)}})
+                .size(),
+            5u);
 }
 
 TEST(EngineEdgeTest, StreamAggOrderingPropagation) {
@@ -65,10 +67,12 @@ TEST(EngineEdgeTest, StreamAggOrderingPropagation) {
   t.AppendRow({Value(1), Value(1.0)});
   t.AppendRow({Value(2), Value(2.0)});
   Table sorted = SortBy(t, {0});
-  Table g = StreamGroupBy(sorted, {0}, {{AggSpec::Kind::kSum, 1, "s"}});
+  exec::OpPtr agg = exec::StreamAggregate(exec::Scan(&sorted), {0},
+                                          {{AggSpec::Kind::kSum, 1, "s"}});
   // Output column 0 is the group key; the output inherits its order.
-  ASSERT_EQ(g.ordering().size(), 1u);
-  EXPECT_EQ(g.ordering()[0], 0);
+  EXPECT_EQ(agg->ordering(), (SortSpec{0}));
+  Table g = exec::Drain(agg.get());
+  EXPECT_EQ(g.ordering(), (SortSpec{0}));
   EXPECT_TRUE(IsSortedBy(g, {0}));
 }
 
@@ -76,8 +80,11 @@ TEST(EngineEdgeTest, FilterPreservesOrderingProperty) {
   Table t = EmptyTable();
   for (int i = 0; i < 6; ++i) t.AppendRow({Value(i), Value(1.0)});
   Table sorted = SortBy(t, {0});
-  Table filtered =
-      Filter(sorted, {Predicate{0, Predicate::Op::kGe, Value(2)}});
+  exec::OpPtr filter = exec::Filter(
+      exec::Scan(&sorted), {Predicate{0, Predicate::Op::kGe, Value(2)}});
+  EXPECT_EQ(filter->ordering(), (SortSpec{0}));
+  Table filtered = exec::Drain(filter.get());
+  EXPECT_EQ(filtered.num_rows(), 4);
   EXPECT_EQ(filtered.ordering(), (SortSpec{0}));
   EXPECT_TRUE(IsSortedBy(filtered, {0}));
   // Sorting does not preserve a different prior ordering claim.
@@ -95,7 +102,8 @@ TEST(EngineEdgeTest, JoinNameCollisionsPrefixed) {
   Table a(s1), b(s2);
   a.AppendRow({Value(1), Value(10)});
   b.AppendRow({Value(1), Value(20)});
-  Table j = HashJoin(a, 0, b, 0);
+  Table j = exec::Drain(
+      exec::HashJoin(exec::Scan(&a), 0, exec::Scan(&b), 0).get());
   EXPECT_EQ(j.num_columns(), 4);
   EXPECT_GE(j.Find("r_k"), 0);
   EXPECT_GE(j.Find("r_x"), 0);
@@ -131,7 +139,7 @@ TEST(EngineEdgeTest, IndexRangeBoundaries) {
 TEST(EngineEdgeTest, ProjectReordersAndDuplicates) {
   Table t = EmptyTable();
   t.AppendRow({Value(1), Value(2.0)});
-  Table p = Project(t, {1, 0, 1});
+  Table p = exec::Drain(exec::Project(exec::Scan(&t), {1, 0, 1}).get());
   EXPECT_EQ(p.num_columns(), 3);
   EXPECT_DOUBLE_EQ(p.col(0).Double(0), 2.0);
   EXPECT_EQ(p.col(1).Int(0), 1);
@@ -162,19 +170,28 @@ TEST(EngineEdgeTest, OperatorsRejectInvalidColumnIds) {
   ASSERT_EQ(missing, -1);
   EXPECT_THROW(SortBy(t, {missing}), std::out_of_range);
   EXPECT_THROW(IsSortedBy(t, {0, missing}), std::out_of_range);
-  EXPECT_THROW(Filter(t, {Predicate{missing, Predicate::Op::kEq, Value(1)}}),
+  EXPECT_THROW(
+      FilterRowIds(t, {Predicate{missing, Predicate::Op::kEq, Value(1)}}),
+      std::out_of_range);
+  // The exec operators check their ids once, at construction.
+  auto scan = [&t] { return exec::Scan(&t); };
+  EXPECT_THROW(
+      exec::Filter(scan(), {Predicate{missing, Predicate::Op::kEq, Value(1)}}),
+      std::out_of_range);
+  EXPECT_THROW(exec::Project(scan(), {0, missing}), std::out_of_range);
+  EXPECT_THROW(exec::HashAggregate(scan(), {missing}, {}), std::out_of_range);
+  EXPECT_THROW(exec::HashAggregate(scan(), {0},
+                                   {{AggSpec::Kind::kSum, missing, "s"}}),
                std::out_of_range);
-  EXPECT_THROW(Project(t, {0, missing}), std::out_of_range);
-  EXPECT_THROW(HashGroupBy(t, {missing}, {}), std::out_of_range);
-  EXPECT_THROW(HashGroupBy(t, {0}, {{AggSpec::Kind::kSum, missing, "s"}}),
+  EXPECT_THROW(exec::StreamAggregate(scan(), {missing}, {}),
                std::out_of_range);
-  EXPECT_THROW(StreamGroupBy(t, {missing}, {}), std::out_of_range);
-  EXPECT_THROW(HashDistinct(t, {missing}), std::out_of_range);
-  EXPECT_THROW(HashJoin(t, missing, t, 0), std::out_of_range);
-  EXPECT_THROW(HashJoin(t, 0, t, 99), std::out_of_range);
-  EXPECT_THROW(SortMergeJoin(t, 0, t, missing, false), std::out_of_range);
+  EXPECT_THROW(exec::StreamDistinct(scan(), {missing}), std::out_of_range);
+  EXPECT_THROW(exec::HashJoin(scan(), missing, scan(), 0), std::out_of_range);
+  EXPECT_THROW(exec::HashJoin(scan(), 0, scan(), 99), std::out_of_range);
+  EXPECT_THROW(exec::MergeJoin(scan(), 0, scan(), missing), std::out_of_range);
   // A kCount aggregate ignores its column id — even an invalid one.
-  EXPECT_NO_THROW(HashGroupBy(t, {0}, {{AggSpec::Kind::kCount, -1, "n"}}));
+  EXPECT_NO_THROW(exec::HashAggregate(scan(), {0},
+                                      {{AggSpec::Kind::kCount, -1, "n"}}));
 }
 
 }  // namespace

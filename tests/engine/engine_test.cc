@@ -66,113 +66,19 @@ TEST(SortTest, StableSortPreservesTies) {
 
 TEST(FilterTest, PredicatesAndConjunction) {
   Table t = MakeSales();
-  Table eq = Filter(t, {Predicate{1, Predicate::Op::kEq, Value(1)}});
-  EXPECT_EQ(eq.num_rows(), 3);
-  Table range = Filter(t, {Predicate{0, Predicate::Op::kBetween, Value(1),
-                                     Value(2)}});
-  EXPECT_EQ(range.num_rows(), 3);
-  Table both = Filter(t, {Predicate{1, Predicate::Op::kEq, Value(1)},
-                          Predicate{0, Predicate::Op::kGe, Value(2)}});
-  EXPECT_EQ(both.num_rows(), 2);
-  Table lt = Filter(t, {Predicate{2, Predicate::Op::kLt, Value(15.0)}});
-  EXPECT_EQ(lt.num_rows(), 2);
-}
-
-TEST(GroupByTest, HashAndStreamAgree) {
-  Table t = MakeSales();
-  const std::vector<ColumnId> groups{1};
-  const std::vector<AggSpec> aggs{
-      {AggSpec::Kind::kSum, 2, "sum_amount"},
-      {AggSpec::Kind::kCount, 0, "cnt"},
-      {AggSpec::Kind::kMin, 2, "min_amount"},
-      {AggSpec::Kind::kMax, 2, "max_amount"},
-      {AggSpec::Kind::kAvg, 2, "avg_amount"},
+  auto count = [&t](const std::vector<Predicate>& preds) {
+    return FilterRowIds(t, preds).size();
   };
-  Table hashed = HashGroupBy(t, groups, aggs);
-  Table streamed = StreamGroupBy(SortBy(t, {1}), groups, aggs);
-  EXPECT_TRUE(SameRowMultiset(hashed, streamed));
-  ASSERT_EQ(hashed.num_rows(), 2);
-  // Store 1: amounts 30, 20, 15.
-  Table s1 = Filter(hashed, {Predicate{0, Predicate::Op::kEq, Value(1)}});
-  ASSERT_EQ(s1.num_rows(), 1);
-  EXPECT_DOUBLE_EQ(s1.col(1).Double(0), 65.0);
-  EXPECT_EQ(s1.col(2).Int(0), 3);
-  EXPECT_DOUBLE_EQ(s1.col(3).Double(0), 15.0);
-  EXPECT_DOUBLE_EQ(s1.col(4).Double(0), 30.0);
-  EXPECT_NEAR(s1.col(5).Double(0), 65.0 / 3, 1e-9);
-}
-
-TEST(GroupByTest, StreamRequiresContiguity) {
-  Table t = MakeSales();
-  // Unsorted input: stream aggregation produces MORE groups than hash
-  // (store 1 appears in several runs) — the failure mode OD reasoning
-  // must prevent.
-  Table streamed = StreamGroupBy(t, {1}, {{AggSpec::Kind::kCount, 0, "c"}});
-  Table hashed = HashGroupBy(t, {1}, {{AggSpec::Kind::kCount, 0, "c"}});
-  EXPECT_GT(streamed.num_rows(), hashed.num_rows());
-}
-
-TEST(DistinctTest, HashAndStream) {
-  Table t = MakeSales();
-  Table h = HashDistinct(t, {1});
-  EXPECT_EQ(h.num_rows(), 2);
-  Table s = StreamDistinct(SortBy(t, {1}), {1});
-  EXPECT_TRUE(SameRowMultiset(h, s));
-}
-
-Table MakeDim() {
-  Schema schema;
-  schema.Add("day", DataType::kInt64);
-  schema.Add("label", DataType::kString);
-  Table t(schema);
-  t.AppendRow({Value(1), Value("one")});
-  t.AppendRow({Value(2), Value("two")});
-  t.AppendRow({Value(3), Value("three")});
-  return t;
-}
-
-TEST(JoinTest, HashJoinBasic) {
-  Table sales = MakeSales();
-  Table dim = MakeDim();
-  Table joined = HashJoin(sales, 0, dim, 0);
-  EXPECT_EQ(joined.num_rows(), 5);
-  EXPECT_EQ(joined.num_columns(), 5);
-  // Collision on "day" gets prefixed.
-  EXPECT_GE(joined.Find("r_day"), 0);
-}
-
-TEST(JoinTest, SortMergeMatchesHash) {
-  Table sales = MakeSales();
-  Table dim = MakeDim();
-  Table hj = HashJoin(sales, 0, dim, 0);
-  Table smj = SortMergeJoin(sales, 0, dim, 0, /*assume_sorted=*/false);
-  EXPECT_TRUE(SameRowMultiset(hj, smj));
-  // Pre-sorted inputs with assume_sorted=true give the same result.
-  Table smj2 = SortMergeJoin(SortBy(sales, {0}), 0, SortBy(dim, {0}), 0,
-                             /*assume_sorted=*/true);
-  EXPECT_TRUE(SameRowMultiset(hj, smj2));
-}
-
-TEST(JoinTest, DuplicateKeysCrossProduct) {
-  Schema s;
-  s.Add("k", DataType::kInt64);
-  Table l(s), r(s);
-  l.AppendRow({Value(7)});
-  l.AppendRow({Value(7)});
-  r.AppendRow({Value(7)});
-  r.AppendRow({Value(7)});
-  r.AppendRow({Value(7)});
-  EXPECT_EQ(HashJoin(l, 0, r, 0).num_rows(), 6);
-  EXPECT_EQ(SortMergeJoin(l, 0, r, 0, false).num_rows(), 6);
-}
-
-TEST(ProjectConcatTest, Basics) {
-  Table t = MakeSales();
-  Table p = Project(t, {2, 0});
-  EXPECT_EQ(p.num_columns(), 2);
-  EXPECT_EQ(p.schema().col(0).name, "amount");
-  Table c = Concat({&t, &t});
-  EXPECT_EQ(c.num_rows(), 10);
+  EXPECT_EQ(count({Predicate{1, Predicate::Op::kEq, Value(1)}}), 3u);
+  EXPECT_EQ(count({Predicate{0, Predicate::Op::kBetween, Value(1), Value(2)}}),
+            3u);
+  EXPECT_EQ(count({Predicate{1, Predicate::Op::kEq, Value(1)},
+                   Predicate{0, Predicate::Op::kGe, Value(2)}}),
+            2u);
+  EXPECT_EQ(count({Predicate{2, Predicate::Op::kLt, Value(15.0)}}), 2u);
+  // Row ids come back in row order.
+  EXPECT_EQ(FilterRowIds(t, {Predicate{1, Predicate::Op::kEq, Value(1)}}),
+            (std::vector<int64_t>{0, 2, 3}));
 }
 
 TEST(IndexTest, OrderedScanAndRange) {

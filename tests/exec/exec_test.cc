@@ -1,6 +1,9 @@
 // Streaming-operator contracts: batch boundaries, ordering-property
 // propagation, the StreamAggregate contiguity precondition, NaN-bearing
 // double keys (must agree with od::CompareDoubles), and early exit.
+// Aggregates and joins are checked against the naive oracle
+// (tests/oracle/naive_oracle.h), on edge inputs too: empty, single-row and
+// all-equal-key tables.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +14,8 @@
 #include "engine/ops.h"
 #include "engine/partition.h"
 #include "exec/operator.h"
+#include "exec/parallel.h"
+#include "oracle/naive_oracle.h"
 
 namespace od {
 namespace exec {
@@ -84,7 +89,7 @@ TEST(FilterTest, MatchesMaterializingFilter) {
       {0, Predicate::Op::kGe, Value(3)}, {0, Predicate::Op::kLe, Value(9)}};
   OpPtr f = Filter(Scan(&t, nullptr, 512), preds);
   Table streamed = Drain(f.get());
-  Table materialized = engine::Filter(t, preds);
+  Table materialized = t.Gather(engine::FilterRowIds(t, preds));
   EXPECT_TRUE(TablesEqualExactly(materialized, streamed));
 }
 
@@ -122,9 +127,9 @@ TEST(StreamAggregateTest, MatchesHashAggAcrossBatchBoundaries) {
                                   {AggSpec::Kind::kAvg, 1, "av"}};
   OpPtr agg = StreamAggregate(Scan(&t, nullptr, 7), {0}, aggs);
   Table streamed = Drain(agg.get());
-  Table hashed = engine::HashGroupBy(t, {0}, aggs);
   EXPECT_EQ(streamed.num_rows(), 23);
-  EXPECT_TRUE(engine::SameRowMultiset(hashed, streamed));
+  EXPECT_TRUE(
+      engine::SameRowMultiset(oracle::GroupBy(t, {0}, aggs), streamed));
   // Order-exploiting: the output streams out in group order.
   EXPECT_TRUE(engine::IsSortedBy(streamed, {0}));
 }
@@ -147,17 +152,17 @@ TEST(StreamAggregateTest, GroupStraddlingManyBatches) {
 
 TEST(StreamAggregateTest, NonContiguousInputEmitsOneRowPerRun) {
   // The documented precondition: equal group keys must be contiguous.
-  // On a violating input the operator (like engine::StreamGroupBy) emits
-  // one row per maximal run — MORE groups than hash aggregation, the
-  // failure mode the planner's contiguity proof exists to prevent.
+  // On a violating input the operator emits one row per maximal run —
+  // MORE groups than the query has, the failure mode the planner's
+  // contiguity proof exists to prevent.
   Table t = MakeKv(50, 5);  // keys cycle 0..4: every group re-appears
   OpPtr stream = StreamAggregate(Scan(&t, nullptr, 16), {0},
                                  {{AggSpec::Kind::kCount, 0, "c"}});
   Table streamed = Drain(stream.get());
-  Table hashed = engine::HashGroupBy(t, {0}, {{AggSpec::Kind::kCount, 0,
-                                               "c"}});
+  Table groups =
+      oracle::GroupBy(t, {0}, {{AggSpec::Kind::kCount, 0, "c"}});
   EXPECT_EQ(streamed.num_rows(), 50);  // one per run of length 1
-  EXPECT_GT(streamed.num_rows(), hashed.num_rows());
+  EXPECT_GT(streamed.num_rows(), groups.num_rows());
 }
 
 TEST(StreamAggregateTest, EmptyInput) {
@@ -172,8 +177,10 @@ TEST(StreamDistinctTest, MatchesHashDistinctOnSortedInput) {
   Table t = engine::SortBy(MakeKv(777, 19), {0});
   OpPtr d = StreamDistinct(Scan(&t, nullptr, 10), {0});
   Table streamed = Drain(d.get());
-  Table hashed = engine::HashDistinct(t, {0});
+  OpPtr h = HashAggregate(Scan(&t), {0}, {});  // hash DISTINCT
+  Table hashed = Drain(h.get());
   EXPECT_TRUE(engine::SameRowMultiset(hashed, streamed));
+  EXPECT_TRUE(engine::SameRowMultiset(oracle::GroupBy(t, {0}, {}), streamed));
   EXPECT_EQ(streamed.num_rows(), 19);
 }
 
@@ -183,7 +190,7 @@ TEST(StreamDistinctTest, NonContiguousEmitsRuns) {
   EXPECT_EQ(Drain(d.get()).num_rows(), 10);
 }
 
-TEST(MergeJoinTest, MatchesEngineSortMergeJoin) {
+TEST(MergeJoinTest, MatchesNaiveOracle) {
   // Duplicate keys on both sides: cross products per equal-key run, with
   // runs straddling the 3-row batches.
   Schema s;
@@ -202,11 +209,20 @@ TEST(MergeJoinTest, MatchesEngineSortMergeJoin) {
   OpPtr j = MergeJoin(Scan(&l, nullptr, 3), 0, Scan(&r, nullptr, 3), 0,
                       &stats);
   Table streamed = Drain(j.get(), &stats);
-  Table reference = engine::SortMergeJoin(l, 0, r, 0, /*assume_sorted=*/true);
+  Table reference = oracle::EquiJoin(l, 0, r, 0);
   EXPECT_TRUE(engine::SameRowMultiset(reference, streamed));
   EXPECT_EQ(stats.joins, 1);
   EXPECT_EQ(stats.rows_joined, streamed.num_rows());
   EXPECT_TRUE(engine::IsSortedBy(streamed, {0}));
+
+  // All-equal keys: a self-join is the full cross product.
+  Table same = MakeKv(5, 1);
+  OpPtr self = MergeJoin(Scan(&same, nullptr, 2), 0, Scan(&same, nullptr, 2),
+                         0);
+  Table cross = Drain(self.get());
+  EXPECT_EQ(cross.num_rows(), 25);
+  EXPECT_TRUE(
+      engine::SameRowMultiset(oracle::EquiJoin(same, 0, same, 0), cross));
 }
 
 TEST(MergeJoinTest, EmptyInputs) {
@@ -300,16 +316,73 @@ TEST(TopKTest, MatchesSortPlusLimit) {
   }
 }
 
-TEST(HashAggregateTest, MatchesEngineHashGroupBy) {
-  Table t = MakeKv(3000, 17);
-  const std::vector<AggSpec> aggs{{AggSpec::Kind::kSum, 1, "s"}};
-  OpPtr agg = HashAggregate(Scan(&t, nullptr, 100), {0}, aggs);
-  Table streamed = Drain(agg.get());
-  EXPECT_TRUE(
-      engine::SameRowMultiset(engine::HashGroupBy(t, {0}, aggs), streamed));
+// The edge inputs every aggregate runs on: a multi-batch table, an empty
+// one, a single row, and all-equal keys.
+std::vector<Table> AggregateInputs() {
+  std::vector<Table> inputs{MakeKv(3000, 17), MakeKv(0, 1), MakeKv(1, 1),
+                            MakeKv(5, 1)};
+  return inputs;
 }
 
-TEST(HashJoinTest, StreamingProbeMatchesEngineAndPreservesOrder) {
+const std::vector<AggSpec>& AllAggs() {
+  static const std::vector<AggSpec> aggs{{AggSpec::Kind::kCount, 0, "c"},
+                                         {AggSpec::Kind::kSum, 1, "s"},
+                                         {AggSpec::Kind::kMin, 1, "mn"},
+                                         {AggSpec::Kind::kMax, 1, "mx"},
+                                         {AggSpec::Kind::kAvg, 1, "av"}};
+  return aggs;
+}
+
+/// ParallelHashAggregate over `fragments` row-range morsels of `t`, with
+/// no pool (fragments run inline, same results).
+OpPtr ParallelAgg(const Table* t, int fragments,
+                  std::vector<engine::ColumnId> groups,
+                  std::vector<AggSpec> aggs) {
+  auto factory = [t, fragments](int i, opt::ExecStats* stats) {
+    const int64_t n = t->num_rows();
+    return ScanRange(t, n * i / fragments, n * (i + 1) / fragments, stats,
+                     100);
+  };
+  return ParallelHashAggregate(fragments, factory, std::move(groups),
+                               std::move(aggs), /*pool=*/nullptr);
+}
+
+TEST(HashAggregateTest, MatchesNaiveOracle) {
+  for (const Table& t : AggregateInputs()) {
+    SCOPED_TRACE("rows=" + std::to_string(t.num_rows()));
+    const Table expected = oracle::GroupBy(t, {0}, AllAggs());
+    OpPtr serial = HashAggregate(Scan(&t, nullptr, 100), {0}, AllAggs());
+    Table got = Drain(serial.get());
+    EXPECT_TRUE(engine::SameRowMultiset(expected, got));
+    for (int fragments : {1, 3}) {
+      OpPtr parallel = ParallelAgg(&t, fragments, {0}, AllAggs());
+      Table par = Drain(parallel.get());
+      EXPECT_TRUE(engine::SameRowMultiset(expected, par));
+      // One kernel, groups in first-seen order: at one fragment the
+      // parallel operator reproduces the serial one row for row.
+      if (fragments == 1) EXPECT_TRUE(TablesEqualExactly(got, par));
+    }
+  }
+}
+
+TEST(HashAggregateTest, GroupsComeOutInFirstSeenOrder) {
+  Schema s;
+  s.Add("k", DataType::kInt64);
+  Table t(s);
+  for (int64_t k : {5, 3, 5, 9, 3, 1}) t.AppendRow({Value(k)});
+  OpPtr agg = HashAggregate(Scan(&t, nullptr, 2), {0},
+                            {{AggSpec::Kind::kCount, 0, "c"}});
+  Table out = Drain(agg.get());
+  ASSERT_EQ(out.num_rows(), 4);
+  const int64_t keys[] = {5, 3, 9, 1};
+  for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(out.col(0).Int(i), keys[i]);
+  // Fragments merge in fragment order, then slot order: rows [0,3) see
+  // 5, 3 first; rows [3,6) add 9, then 1.
+  OpPtr par = ParallelAgg(&t, 2, {0}, {{AggSpec::Kind::kCount, 0, "c"}});
+  EXPECT_TRUE(TablesEqualExactly(out, Drain(par.get())));
+}
+
+TEST(HashJoinTest, StreamingProbeMatchesOracleAndPreservesOrder) {
   Table fact = engine::SortBy(MakeKv(2000, 50), {0});
   Schema ds;
   ds.Add("k", DataType::kInt64);
@@ -322,10 +395,23 @@ TEST(HashJoinTest, StreamingProbeMatchesEngineAndPreservesOrder) {
   OpPtr j = HashJoin(Scan(&fact, nullptr, 64), 0, Scan(&dim), 0, &stats);
   EXPECT_EQ(j->ordering(), engine::SortSpec({0}));  // probe order survives
   Table streamed = Drain(j.get(), &stats);
-  Table reference = engine::HashJoin(fact, 0, dim, 0);
+  Table reference = oracle::EquiJoin(fact, 0, dim, 0);
   EXPECT_TRUE(engine::SameRowMultiset(reference, streamed));
   EXPECT_TRUE(engine::IsSortedBy(streamed, {0}));
   EXPECT_EQ(stats.joins, 1);
+
+  // Empty build or probe side, and all-equal keys (a 5 x 5 self-join).
+  Table empty = MakeKv(0, 1);
+  OpPtr j1 = HashJoin(Scan(&fact), 0, Scan(&empty), 0);
+  EXPECT_EQ(Drain(j1.get()).num_rows(), 0);
+  OpPtr j2 = HashJoin(Scan(&empty), 0, Scan(&dim), 0);
+  EXPECT_EQ(Drain(j2.get()).num_rows(), 0);
+  Table same = MakeKv(5, 1);
+  OpPtr self = HashJoin(Scan(&same), 0, Scan(&same), 0);
+  Table cross = Drain(self.get());
+  EXPECT_EQ(cross.num_rows(), 25);
+  EXPECT_TRUE(
+      engine::SameRowMultiset(oracle::EquiJoin(same, 0, same, 0), cross));
 }
 
 TEST(IndexRangeScanTest, MatchesIndexScanRange) {
@@ -360,6 +446,20 @@ TEST(OperatorContractTest, InvalidColumnIdsThrow) {
                std::out_of_range);
   EXPECT_THROW(Project(Scan(&t), {5}), std::out_of_range);
   EXPECT_THROW(StreamAggregate(Scan(&t), {9}, {}), std::out_of_range);
+  EXPECT_THROW(StreamAggregate(Scan(&t), {0}, {{AggSpec::Kind::kSum, -1, "s"}}),
+               std::out_of_range);
+  EXPECT_THROW(HashAggregate(Scan(&t), {-1}, {}), std::out_of_range);
+  EXPECT_THROW(HashAggregate(Scan(&t), {0}, {{AggSpec::Kind::kMin, 2, "m"}}),
+               std::out_of_range);
+  EXPECT_THROW(ParallelAgg(&t, 2, {2}, {}), std::out_of_range);
+  EXPECT_THROW(ParallelAgg(&t, 2, {0}, {{AggSpec::Kind::kAvg, -1, "a"}}),
+               std::out_of_range);
+  // A kCount aggregate ignores its column id — even an invalid one.
+  const std::vector<AggSpec> count_any{{AggSpec::Kind::kCount, -1, "n"}};
+  EXPECT_EQ(Drain(HashAggregate(Scan(&t), {0}, count_any).get()).num_rows(),
+            3);
+  EXPECT_EQ(Drain(ParallelAgg(&t, 2, {0}, count_any).get()).num_rows(), 3);
+  EXPECT_NO_THROW(StreamAggregate(Scan(&t), {0}, count_any));
   EXPECT_THROW(Sort(Scan(&t), {3}), std::out_of_range);
   EXPECT_THROW(MergeJoin(Scan(&t), 0, Scan(&t), -1), std::out_of_range);
   EXPECT_THROW(HashJoin(Scan(&t), 7, Scan(&t), 0), std::out_of_range);
@@ -436,6 +536,118 @@ TEST(CheckOrderTest, NanDoublesTieUnderTheClaim) {
   OpPtr op = CheckOrder(
       std::make_unique<LyingOp>(Scan(&t, nullptr, 2), engine::SortSpec{0}));
   EXPECT_EQ(Drain(op.get()).num_rows(), 5);
+}
+
+// ---------------------------------------------------------------------------
+// GROUP BY, DISTINCT, joins and projection over a five-row sales table.
+
+Table MakeSales() {
+  Schema schema;
+  schema.Add("day", DataType::kInt64);
+  schema.Add("store", DataType::kInt64);
+  schema.Add("amount", DataType::kDouble);
+  Table t(schema);
+  // day, store, amount
+  t.AppendRow({Value(3), Value(1), Value(30.0)});
+  t.AppendRow({Value(1), Value(2), Value(10.0)});
+  t.AppendRow({Value(2), Value(1), Value(20.0)});
+  t.AppendRow({Value(1), Value(1), Value(15.0)});
+  t.AppendRow({Value(3), Value(2), Value(5.0)});
+  return t;
+}
+
+Table MakeDayDim() {
+  Schema schema;
+  schema.Add("day", DataType::kInt64);
+  schema.Add("label", DataType::kString);
+  Table t(schema);
+  t.AppendRow({Value(1), Value("one")});
+  t.AppendRow({Value(2), Value("two")});
+  t.AppendRow({Value(3), Value("three")});
+  return t;
+}
+
+TEST(GroupByTest, HashAndStreamAgree) {
+  Table t = MakeSales();
+  const std::vector<AggSpec> aggs{
+      {AggSpec::Kind::kSum, 2, "sum_amount"},
+      {AggSpec::Kind::kCount, 0, "cnt"},
+      {AggSpec::Kind::kMin, 2, "min_amount"},
+      {AggSpec::Kind::kMax, 2, "max_amount"},
+      {AggSpec::Kind::kAvg, 2, "avg_amount"},
+  };
+  Table hashed = Drain(HashAggregate(Scan(&t), {1}, aggs).get());
+  Table streamed =
+      Drain(StreamAggregate(Sort(Scan(&t), {1}), {1}, aggs).get());
+  EXPECT_TRUE(engine::SameRowMultiset(hashed, streamed));
+  ASSERT_EQ(hashed.num_rows(), 2);
+  // Store 1 is seen first: amounts 30, 20, 15.
+  EXPECT_EQ(hashed.col(0).Int(0), 1);
+  EXPECT_DOUBLE_EQ(hashed.col(1).Double(0), 65.0);
+  EXPECT_EQ(hashed.col(2).Int(0), 3);
+  EXPECT_DOUBLE_EQ(hashed.col(3).Double(0), 15.0);
+  EXPECT_DOUBLE_EQ(hashed.col(4).Double(0), 30.0);
+  EXPECT_NEAR(hashed.col(5).Double(0), 65.0 / 3, 1e-9);
+}
+
+TEST(GroupByTest, StreamRequiresContiguity) {
+  Table t = MakeSales();
+  // Unsorted input: stream aggregation produces MORE groups than hash
+  // (store 1 appears in several runs) — the failure mode OD reasoning
+  // must prevent.
+  const std::vector<AggSpec> count{{AggSpec::Kind::kCount, 0, "c"}};
+  Table streamed = Drain(StreamAggregate(Scan(&t), {1}, count).get());
+  Table hashed = Drain(HashAggregate(Scan(&t), {1}, count).get());
+  EXPECT_GT(streamed.num_rows(), hashed.num_rows());
+}
+
+TEST(DistinctTest, HashAndStream) {
+  Table t = MakeSales();
+  Table h = Drain(HashAggregate(Scan(&t), {1}, {}).get());
+  EXPECT_EQ(h.num_rows(), 2);
+  Table s = Drain(StreamDistinct(Sort(Scan(&t), {1}), {1}).get());
+  EXPECT_TRUE(engine::SameRowMultiset(h, s));
+}
+
+TEST(JoinTest, HashJoinBasic) {
+  Table sales = MakeSales();
+  Table dim = MakeDayDim();
+  Table joined = Drain(HashJoin(Scan(&sales), 0, Scan(&dim), 0).get());
+  EXPECT_EQ(joined.num_rows(), 5);
+  EXPECT_EQ(joined.num_columns(), 5);
+  // Collision on "day" gets prefixed.
+  EXPECT_GE(joined.Find("r_day"), 0);
+}
+
+TEST(JoinTest, SortMergeMatchesHash) {
+  Table sales = MakeSales();
+  Table dim = MakeDayDim();
+  Table hj = Drain(HashJoin(Scan(&sales), 0, Scan(&dim), 0).get());
+  Table smj = Drain(
+      MergeJoin(Sort(Scan(&sales), {0}), 0, Sort(Scan(&dim), {0}), 0).get());
+  EXPECT_TRUE(engine::SameRowMultiset(hj, smj));
+}
+
+TEST(JoinTest, DuplicateKeysCrossProduct) {
+  Schema s;
+  s.Add("k", DataType::kInt64);
+  Table l(s), r(s);
+  l.AppendRow({Value(7)});
+  l.AppendRow({Value(7)});
+  r.AppendRow({Value(7)});
+  r.AppendRow({Value(7)});
+  r.AppendRow({Value(7)});
+  EXPECT_EQ(Drain(HashJoin(Scan(&l), 0, Scan(&r), 0).get()).num_rows(), 6);
+  EXPECT_EQ(Drain(MergeJoin(Scan(&l), 0, Scan(&r), 0).get()).num_rows(), 6);
+}
+
+TEST(ProjectConcatTest, Basics) {
+  Table t = MakeSales();
+  Table p = Drain(Project(Scan(&t), {2, 0}).get());
+  EXPECT_EQ(p.num_columns(), 2);
+  EXPECT_EQ(p.schema().col(0).name, "amount");
+  Table c = engine::Concat({&t, &t});
+  EXPECT_EQ(c.num_rows(), 10);
 }
 
 }  // namespace

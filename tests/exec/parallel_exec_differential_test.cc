@@ -7,6 +7,10 @@
 // deliver fails loudly, not silently. The suite also asserts the paper's
 // headline invariant end to end: parallelizing an OD-aware plan never
 // reintroduces an elided sort (EXPLAIN stays Sort-free, stats.sorts == 0).
+// Serial and parallel plans share one aggregation kernel, so the serial
+// reference itself is first checked against the naive oracle
+// (tests/oracle/naive_oracle.h) once per case — otherwise the suite would
+// only compare that kernel with itself.
 //
 // Inputs cover the adversarial shapes called out in the issue: duplicate-
 // heavy keys, NaN-bearing doubles, empty partitions/fragments (dop larger
@@ -29,8 +33,8 @@
 #include "engine/ops.h"
 #include "engine/partition.h"
 #include "exec/operator.h"
-#include "optimizer/date_rewrite.h"
 #include "optimizer/planner.h"
+#include "oracle/naive_oracle.h"
 #include "theory/theory.h"
 #include "warehouse/date_dim.h"
 #include "warehouse/queries.h"
@@ -120,7 +124,11 @@ void SweepAgainstSerial(const LogicalQuery& q, common::ThreadPool* pool) {
   Table ref = serial.Execute(&ref_stats);
   const bool serial_has_sort = ExplainMentions(serial, "Sort");
   const SortSpec serial_order = serial.root().out_ordering;
-  Table ref_canonical = serial_order.empty() ? Canonical(ref) : Table();
+  Table ref_canonical = Canonical(ref);
+  {
+    SCOPED_TRACE(q.name + " serial reference vs naive oracle");
+    EXPECT_TRUE(RowsIdentical(Canonical(oracle::Evaluate(q)), ref_canonical));
+  }
 
   // Zero out the per-fragment startup tax: these are test-sized inputs,
   // and the point is to exercise the parallel shapes, not to model them.

@@ -9,15 +9,17 @@
 // OD plan: with [d_moy] ↦ [d_quarter] the optimizer reduces both the
 // group-by and the order-by to [d_year, d_moy]; an index on
 // (d_year, d_moy)-ordered data provides the stream, stream aggregation
-// replaces hashing, and NO sort operator appears. Both plans must agree.
+// replaces hashing, and NO sort operator appears. Both plans run on the
+// streaming executor and must agree with the naive oracle.
 
 #include <gtest/gtest.h>
 
 #include "engine/index.h"
 #include "engine/ops.h"
+#include "exec/operator.h"
 #include "optimizer/order_property.h"
-#include "optimizer/plan.h"
 #include "optimizer/reduce_order.h"
+#include "oracle/naive_oracle.h"
 #include "warehouse/date_dim.h"
 #include "warehouse/star_schema.h"
 
@@ -37,7 +39,7 @@ class Example1Test : public ::testing::Test {
                                           40, 8, 123);
     const warehouse::DateDimColumns d;
     const warehouse::StoreSalesColumns f;
-    joined_ = engine::HashJoin(fact_, f.ss_sold_date_sk, dim_, d.d_date_sk);
+    joined_ = oracle::EquiJoin(fact_, f.ss_sold_date_sk, dim_, d.d_date_sk);
     year_ = joined_.Find("d_year");
     quarter_ = joined_.Find("d_quarter");
     moy_ = joined_.Find("d_moy");
@@ -74,10 +76,10 @@ TEST_F(Example1Test, RewrittenPlanHasNoSortAndAgrees) {
 
   // Baseline: hash agg + sort enforcer on year, quarter, moy.
   opt::ExecStats base_stats;
-  opt::PlanPtr baseline = opt::SortNode(
-      opt::HashAggNode(opt::TableScan(&joined_), full_groups, aggs),
-      {0, 1, 2});  // agg output: year, quarter, moy, sum
-  Table base_result = baseline->Execute(&base_stats);
+  exec::OpPtr baseline = exec::Sort(
+      exec::HashAggregate(exec::Scan(&joined_), full_groups, aggs),
+      {0, 1, 2}, &base_stats);  // agg output: year, quarter, moy, sum
+  Table base_result = exec::Drain(baseline.get(), &base_stats);
   EXPECT_EQ(base_stats.sorts, 1);
 
   // OD plan: the index stream (year, moy) provides the order; quarter is
@@ -87,13 +89,16 @@ TEST_F(Example1Test, RewrittenPlanHasNoSortAndAgrees) {
   ASSERT_TRUE(reasoner.GroupsContiguousUnder({year_, moy_}, full_groups));
   engine::OrderedIndex index(&joined_, {year_, moy_});
   opt::ExecStats od_stats;
-  opt::PlanPtr od_plan =
-      opt::StreamAggNode(opt::IndexScan(&index), full_groups, aggs);
-  Table od_result = od_plan->Execute(&od_stats);
+  exec::OpPtr od_plan = exec::StreamAggregate(
+      exec::IndexRangeScan(&index, std::nullopt, &od_stats), full_groups,
+      aggs);
+  Table od_result = exec::Drain(od_plan.get(), &od_stats);
   EXPECT_EQ(od_stats.sorts, 0);  // no sort operator anywhere
 
-  // Same groups and aggregates.
+  // Same groups and aggregates, and both match the naive oracle.
   EXPECT_TRUE(engine::SameRowMultiset(base_result, od_result));
+  EXPECT_TRUE(engine::SameRowMultiset(
+      oracle::GroupBy(joined_, full_groups, aggs), od_result));
   // The OD plan's output already satisfies the original ORDER BY.
   EXPECT_TRUE(engine::IsSortedBy(od_result, {0, 1, 2}));
 }

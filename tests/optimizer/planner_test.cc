@@ -1,7 +1,8 @@
 // The cost-based physical planner: enforcer elision must be *proven* (OD
-// reasoning), every chosen plan must agree with the naive materializing
-// plan, and the order-aware warehouse queries must execute with zero sorts
-// when the ODs hold.
+// reasoning), every chosen plan must agree with the naive oracle
+// (tests/oracle/naive_oracle.h) and with the plan chosen without ODs, and
+// the order-aware warehouse queries must execute with zero sorts when the
+// ODs hold.
 
 #include "optimizer/planner.h"
 
@@ -12,7 +13,7 @@
 #include "engine/index.h"
 #include "engine/ops.h"
 #include "engine/partition.h"
-#include "optimizer/date_rewrite.h"
+#include "oracle/naive_oracle.h"
 #include "theory/theory.h"
 #include "warehouse/date_dim.h"
 #include "warehouse/queries.h"
@@ -152,20 +153,8 @@ TEST_F(DatePlannerTest, DailySalesElidesJoinSortAndHash) {
   EXPECT_TRUE(engine::IsSortedBy(out, {0}));
   EXPECT_EQ(out.num_rows(), 365);  // 1999: one output row per day
 
-  // Same answer as the naive materializing join plan.
-  const warehouse::DateDimColumns d;
-  const warehouse::StoreSalesColumns f;
-  DateRangeQuery ref;
-  ref.name = q.name;
-  ref.dim_predicates = q.filters[1];
-  ref.fact_date_sk = f.ss_sold_date_sk;
-  ref.dim_date_sk = d.d_date_sk;
-  ref.fact_group_cols = q.group_cols;
-  ref.fact_aggs = q.aggs;
-  ExecStats ref_stats;
-  Table baseline = BuildBaselinePlan(&fact_, &dim_, ref)->Execute(&ref_stats);
-  EXPECT_TRUE(engine::SameRowMultiset(baseline, out));
-  EXPECT_EQ(ref_stats.joins, 1);  // the baseline really paid the join
+  // Same answer as the naive join + group-by + sort.
+  EXPECT_TRUE(engine::SameRowMultiset(oracle::Evaluate(q), out));
 }
 
 TEST_F(DatePlannerTest, WithoutOdsTheJoinStays) {
@@ -188,6 +177,7 @@ TEST_F(DatePlannerTest, WithoutOdsTheJoinStays) {
 }
 
 TEST_F(DatePlannerTest, AllThirteenQueriesAgreeWithBaseline) {
+  // The baseline is the same query planned without ODs: it pays the join.
   const auto queries = warehouse::TpcdsDateQueries(kStartYear, kYears);
   ASSERT_EQ(queries.size(), 13u);
   for (const auto& dq : queries) {
@@ -198,8 +188,12 @@ TEST_F(DatePlannerTest, AllThirteenQueriesAgreeWithBaseline) {
     Table out = plan.Execute(&stats);
     ExecStats ref_stats;
     Table baseline =
-        BuildBaselinePlan(&fact_, &dim_, dq)->Execute(&ref_stats);
+        PlanQuery(warehouse::ToLogicalQuery(dq, &fact_, &dim_, index_.get(),
+                                            parts_.get(), /*dim_ods=*/nullptr))
+            .Execute(&ref_stats);
+    EXPECT_EQ(ref_stats.joins, 1) << dq.name;
     EXPECT_TRUE(engine::SameRowMultiset(baseline, out)) << dq.name;
+    EXPECT_TRUE(engine::SameRowMultiset(oracle::Evaluate(q), out)) << dq.name;
     // The surrogate-key OD eliminates the join on every rewritable query.
     EXPECT_EQ(stats.joins, 0) << dq.name;
     EXPECT_EQ(stats.joins_elided, 1) << dq.name;
@@ -274,18 +268,6 @@ TEST_F(DatePlannerTest, PartitionPruningWithoutIndex) {
   EXPECT_TRUE(engine::IsSortedBy(out, {0}));
 }
 
-TEST_F(DatePlannerTest, MaterializingBridgeAgrees) {
-  LogicalQuery q = warehouse::DailySalesQuery(
-      &fact_, &dim_, index_.get(), parts_.get(), dim_ods_, kStartYear);
-  PhysicalPlan plan = PlanQuery(q);
-  PlanPtr bridge = plan.ToMaterializingPlan();
-  ASSERT_NE(bridge, nullptr);
-  ExecStats s1, s2;
-  Table streaming = plan.Execute(&s1);
-  Table materializing = bridge->Execute(&s2);
-  EXPECT_TRUE(engine::SameRowMultiset(streaming, materializing));
-}
-
 TEST(PlannerValidationTest, MalformedQueriesThrow) {
   Schema s;
   s.Add("a", DataType::kInt64);
@@ -336,14 +318,8 @@ TEST(PlannerThreeTableTest, StarJoinOverItemAndStore) {
   Table out = plan.Execute(&stats);
   EXPECT_EQ(stats.joins, 2);
 
-  // Reference: materializing hash joins + hash aggregation.
-  Table j1 = engine::HashJoin(fact, f.ss_item_sk, items, 0);
-  Table j2 = engine::HashJoin(j1, f.ss_store_sk, stores, 0);
-  Table ref = engine::HashGroupBy(
-      j2, {f.ss_store_sk},
-      {{AggSpec::Kind::kSum, f.ss_net_paid, "sum_net"},
-       {AggSpec::Kind::kCount, 0, "cnt"}});
-  EXPECT_TRUE(engine::SameRowMultiset(ref, out));
+  // Reference: nested-loop joins + map group-by.
+  EXPECT_TRUE(engine::SameRowMultiset(oracle::Evaluate(q), out));
 }
 
 }  // namespace
