@@ -45,8 +45,11 @@ struct Workload {
     const warehouse::StoreSalesColumns f;
     opt::LogicalQuery join;
     join.name = "sales_with_dates";
-    join.tables = {opt::TableRef{"store_sales", &fact},
-                   opt::TableRef{"date_dim", &dim}};
+    join.tables = {
+        opt::TableRef{"store_sales", &fact, nullptr, nullptr, nullptr,
+                      nullptr, -1},
+        opt::TableRef{"date_dim", &dim, nullptr, nullptr, nullptr, nullptr,
+                      -1}};
     join.joins = {opt::JoinClause{1, f.ss_sold_date_sk, d.d_date_sk}};
     opt::ExecStats stats;
     engine::Table joined = opt::PlanQuery(join).Execute(&stats);
@@ -65,7 +68,7 @@ struct Workload {
     q.name = group_by ? "group_by_year_quarter_moy"
                       : "order_by_year_quarter_moy";
     q.tables.push_back(opt::TableRef{"sales", &clustered, nullptr, nullptr,
-                                     ods});
+                                     ods, nullptr, -1});
     q.order_by = {year, quarter, moy};
     if (group_by) {
       q.group_cols = {year, quarter, moy};

@@ -62,9 +62,10 @@ struct Workload {
     const warehouse::DateDimColumns d;
     opt::LogicalQuery q;
     q.name = "sales_join_dates";
-    q.tables = {opt::TableRef{"store_sales", &fact_sorted},
+    q.tables = {opt::TableRef{"store_sales", &fact_sorted, nullptr, nullptr,
+                              nullptr, nullptr, -1},
                 opt::TableRef{"date_dim", &dim_by_date, nullptr, nullptr,
-                              dim_ods}};
+                              dim_ods, nullptr, -1}};
     q.joins = {opt::JoinClause{1, f.ss_sold_date_sk, d.d_date_sk}};
     return q;
   }
@@ -73,7 +74,7 @@ struct Workload {
     opt::LogicalQuery q;
     q.name = "distinct_date_sk";
     q.tables = {opt::TableRef{"sales", &sales_by_date, nullptr, nullptr,
-                              sales_ods}};
+                              sales_ods, nullptr, -1}};
     q.group_cols = {sales_sk};
     return q;
   }

@@ -136,9 +136,8 @@ OpPtr Project(OpPtr child, std::vector<engine::ColumnId> cols);
 /// Streaming GROUP BY. Precondition: rows with equal group keys are
 /// contiguous in the child's stream (the planner proves this via
 /// OrderReasoner::GroupsContiguousUnder). On a non-contiguous input the
-/// operator — like engine::StreamGroupBy — emits one row per maximal run of
-/// equal keys, i.e. a group reappearing later produces a duplicate output
-/// row. Output schema: group columns, then one column per aggregate; output
+/// operator emits one row per maximal run of equal keys, i.e. a group
+/// reappearing later produces a duplicate output row. Output schema: group columns, then one column per aggregate; output
 /// ordering: the prefix of the child's ordering covered by group columns.
 OpPtr StreamAggregate(OpPtr child, std::vector<engine::ColumnId> group_cols,
                       std::vector<engine::AggSpec> aggs);

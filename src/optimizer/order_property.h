@@ -59,7 +59,7 @@ class OrderReasoner {
   bool Equivalent(const engine::SortSpec& a, const engine::SortSpec& b) const;
 
   /// Equal-key groups of `group_cols` are contiguous in a stream sorted by
-  /// `provided` — the requirement for StreamGroupBy. This holds whenever
+  /// `provided` — the requirement for stream aggregation. This holds whenever
   /// provided ↦ G for some (equivalently, any) ordering G of the group
   /// columns *whose attributes are covered by the provided prefix
   /// functionally*… more simply: sorting by `provided` makes groups

@@ -360,7 +360,9 @@ TEST(HashAggregateTest, MatchesNaiveOracle) {
       EXPECT_TRUE(engine::SameRowMultiset(expected, par));
       // One kernel, groups in first-seen order: at one fragment the
       // parallel operator reproduces the serial one row for row.
-      if (fragments == 1) EXPECT_TRUE(TablesEqualExactly(got, par));
+      if (fragments == 1) {
+        EXPECT_TRUE(TablesEqualExactly(got, par));
+      }
     }
   }
 }

@@ -36,7 +36,7 @@ LogicalQuery SmallQuery(const Table* t, std::vector<engine::Predicate> preds,
                         bool order_by) {
   LogicalQuery q;
   q.name = "small";
-  q.tables.push_back(TableRef{"t", t});
+  q.tables.push_back(TableRef{"t", t, nullptr, nullptr, nullptr, nullptr, -1});
   q.filters = {std::move(preds)};
   q.group_cols = {0};
   q.aggs = {{engine::AggSpec::Kind::kSum, 1, "sum_v"}};
@@ -59,7 +59,8 @@ TEST(PlanTest, ScanFilterSortAgg) {
   // Without ODs an ORDER BY on the unsorted k pays a sort enforcer.
   LogicalQuery order_q;
   order_q.name = "order_by_k";
-  order_q.tables.push_back(TableRef{"t", &t});
+  order_q.tables.push_back(
+      TableRef{"t", &t, nullptr, nullptr, nullptr, nullptr, -1});
   order_q.order_by = {0, 1};
   ExecStats stats2;
   Table sorted_result = PlanQuery(order_q).Execute(&stats2);

@@ -148,7 +148,7 @@ TEST(OrderReasonerTest, GroupContiguity) {
   const engine::ColumnId quarter = names.Lookup("quarter");
   const engine::ColumnId month = names.Lookup("month");
   // Sorting by [year, month] makes [year, quarter, month] groups
-  // contiguous (quarter is determined), enabling StreamGroupBy.
+  // contiguous (quarter is determined), enabling stream aggregation.
   EXPECT_TRUE(
       reasoner.GroupsContiguousUnder({year, month}, {year, quarter, month}));
   // Sorting by year alone does not make month groups contiguous.
