@@ -53,33 +53,13 @@ TaxWorkload& GetTax(int64_t rows) {
   return *it->second;
 }
 
-/// Times `no_ods`'s plan after checking that its answer equals
-/// `with_ods`'s (SkipWithError otherwise: an elision that changes the
-/// answer is a bug, not a speedup).
-void RunNoOds(benchmark::State& state, const opt::LogicalQuery& no_ods,
-              const opt::LogicalQuery& with_ods) {
-  opt::PhysicalPlan plan = opt::PlanQuery(no_ods);
-  {
-    opt::ExecStats stats, od_stats;
-    engine::Table out = plan.Execute(&stats);
-    if (!engine::SameRowMultiset(
-            out, opt::PlanQuery(with_ods).Execute(&od_stats))) {
-      state.SkipWithError("ODs-on and ODs-off plans return different answers");
-      return;
-    }
-  }
-  for (auto _ : state) {
-    opt::ExecStats stats;
-    engine::Table out = plan.Execute(&stats);
-    benchmark::DoNotOptimize(out);
-  }
-}
-
+// The same query planned without its ODs (bench::RunOdArm first checks
+// both plans return the same answer).
 void BM_TaxOrderByStreamingNoOds(benchmark::State& state) {
   TaxWorkload& w = GetTax(state.range(0));
-  RunNoOds(state,
-           warehouse::TaxOrderByQuery(&w.taxes, &w.income_index, nullptr),
-           warehouse::TaxOrderByQuery(&w.taxes, &w.income_index, w.ods));
+  bench::RunOdArm(state,
+                  warehouse::TaxOrderByQuery(&w.taxes, &w.income_index, w.ods),
+                  /*ods=*/false, "tax/" + std::to_string(state.range(0)));
 }
 
 void BM_TaxOrderByStreamingOdAware(benchmark::State& state) {
@@ -127,12 +107,11 @@ StarWorkload& GetStar(int64_t rows) {
 
 void BM_DailySalesStreamingNoOds(benchmark::State& state) {
   StarWorkload& w = GetStar(state.range(0));
-  auto daily = [&w](std::shared_ptr<theory::Theory> ods) {
-    return warehouse::DailySalesQuery(&w.fact, &w.dim, &w.fact_index,
-                                      /*fact_parts=*/nullptr, std::move(ods),
-                                      /*year=*/1999);
-  };
-  RunNoOds(state, daily(nullptr), daily(w.dim_ods));
+  bench::RunOdArm(state,
+                  warehouse::DailySalesQuery(&w.fact, &w.dim, &w.fact_index,
+                                             /*fact_parts=*/nullptr, w.dim_ods,
+                                             /*year=*/1999),
+                  /*ods=*/false, "daily/" + std::to_string(state.range(0)));
 }
 
 void BM_DailySalesStreamingOdAware(benchmark::State& state) {

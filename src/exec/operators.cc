@@ -578,8 +578,9 @@ class LimitOp : public OperatorBase {
 };
 
 // ---------------------------------------------------------------------------
-// Pipeline breakers. Each consumes its child via Drain(child, nullptr)
-// (no output-side stats: rows_output/batches describe the pipeline root).
+// Pipeline breakers. Sort, TopK and the hash-join build consume their child
+// via Drain(child, nullptr) (no output-side stats: rows_output/batches
+// describe the pipeline root); HashAggregate folds batches as they arrive.
 
 class SortOp : public OperatorBase {
  public:
