@@ -17,11 +17,13 @@
 
 #include <map>
 #include <memory>
+#include <string>
 
 #include "bench_util.h"
 #include "common/thread_pool.h"
 #include "engine/index.h"
 #include "engine/ops.h"
+#include "engine/partition.h"
 #include "optimizer/planner.h"
 #include "theory/theory.h"
 #include "warehouse/date_dim.h"
@@ -177,6 +179,41 @@ void BM_ExecParallelGroupBy10M(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000000);
 }
 
+// Partition-pruned parallel GROUP BY: the surrogate range of one year
+// keeps 12-13 of the 60 partitions of a 2M-row fact, and the fragments
+// split the surviving rows (not the partition list) between them. No fact
+// index, so the elided join leaves a PartitionedScan under the aggregate —
+// the plan of the year templates in odbench's olap_ods.
+void BM_ExecParallelPrunedPartitionAgg(benchmark::State& state) {
+  StarWorkload& w = GetStar(2000000);
+  static const auto* parts =
+      new engine::PartitionedTable(engine::PartitionedTable::PartitionByRange(
+          w.fact, warehouse::StoreSalesColumns().ss_sold_date_sk, 60));
+  opt::LogicalQuery q = warehouse::ToLogicalQuery(
+      warehouse::TpcdsDateQueries(1998, 5)[0], &w.fact, &w.dim,
+      /*fact_sk_index=*/nullptr, parts, w.dim_ods);
+  const int dop = static_cast<int>(state.range(0));
+  opt::PlanOptions opts;
+  opts.dop = dop;
+  opts.pool = &BenchPool();
+  opt::PhysicalPlan plan = opt::PlanQuery(q, opt::CostModel(), opts);
+  const std::string explain = plan.Explain();
+  if (explain.find("PartitionedScan") == std::string::npos ||
+      (dop > 1 &&
+       explain.find("ParallelHashAggregate") == std::string::npos)) {
+    state.SkipWithError("planner did not pick the pruned parallel aggregate");
+    return;
+  }
+  int64_t rows = 0;
+  for (auto _ : state) {
+    opt::ExecStats stats;
+    engine::Table out = plan.Execute(&stats);
+    benchmark::DoNotOptimize(out);
+    rows = stats.rows_scanned;
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+
 // The OD-proven order-preserving merge on a 2M-row ordered scan: fragments
 // of the income-index stream recombined without any sort. The serial
 // row-at-a-time merge caps the ceiling, so this family is reported by the
@@ -280,6 +317,12 @@ BENCHMARK(BM_ExecParallelGroupBy10M)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK(BM_ExecParallelPrunedPartitionAgg)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK(BM_ExecParallelOrderedMerge2M)

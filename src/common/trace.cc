@@ -175,14 +175,15 @@ void TraceSpan::Open(const char* name) {
 }
 
 void TraceSpan::Close() {
-  const auto end = std::chrono::steady_clock::now();
-  const int64_t start_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          start_.time_since_epoch())
-          .count();
-  const int64_t dur_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(end - start_)
-          .count();
+  const auto to_us = [](std::chrono::steady_clock::time_point t) {
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               t.time_since_epoch())
+        .count();
+  };
+  // Truncate both ends, not the start and the duration apart: then a span
+  // that ends inside its parent also ends inside it once exported.
+  const int64_t start_us = to_us(start_);
+  const int64_t dur_us = to_us(std::chrono::steady_clock::now()) - start_us;
   Tracer::PopDepth();
   Tracer::SetCurrentContext(prev_);
   Tracer::Global().Record(name_, start_us, dur_us, depth_, prev_.trace_id,

@@ -44,8 +44,9 @@ class OrderedIndex {
   // key-sorted permutation, so a scan can gather one batch at a time
   // instead of materializing the whole key-ordered table up front.
   int64_t num_rows() const { return static_cast<int64_t>(perm_.size()); }
-  /// Base-table row id at key-order position `pos`.
-  int64_t RowAt(int64_t pos) const { return perm_[pos]; }
+  /// Base-table row ids at key-order positions `pos`, `pos + 1`, ... up
+  /// to num_rows() (a pointer into the permutation, for batch gathers).
+  const int64_t* RowsFrom(int64_t pos) const { return perm_.data() + pos; }
   /// Key-order position half-open range [begin, end) whose leading key
   /// values lie in [lo, hi].
   std::pair<int64_t, int64_t> PositionRange(int64_t lo, int64_t hi) const {

@@ -58,10 +58,8 @@ Table PartitionedTable::ScanAll() const {
 Table PartitionedTable::ScanRange(int64_t lo, int64_t hi,
                                   int* partitions_scanned) const {
   std::vector<const Table*> touched;
-  for (size_t i = 0; i < parts_.size(); ++i) {
-    if (ranges_[i].first <= hi && lo <= ranges_[i].second) {
-      touched.push_back(&parts_[i]);
-    }
+  for (int i = 0; i < num_partitions(); ++i) {
+    if (Overlaps(i, lo, hi)) touched.push_back(&parts_[i]);
   }
   if (partitions_scanned != nullptr) {
     *partitions_scanned = static_cast<int>(touched.size());
@@ -78,8 +76,14 @@ Table PartitionedTable::ScanRange(int64_t lo, int64_t hi,
 
 int PartitionedTable::CountOverlapping(int64_t lo, int64_t hi) const {
   int n = 0;
-  for (const auto& [rlo, rhi] : ranges_) {
-    if (rlo <= hi && lo <= rhi) ++n;
+  for (int i = 0; i < num_partitions(); ++i) n += Overlaps(i, lo, hi);
+  return n;
+}
+
+int64_t PartitionedTable::CountOverlappingRows(int64_t lo, int64_t hi) const {
+  int64_t n = 0;
+  for (int i = 0; i < num_partitions(); ++i) {
+    if (Overlaps(i, lo, hi)) n += parts_[i].num_rows();
   }
   return n;
 }

@@ -38,8 +38,14 @@ class PartitionedTable {
   Table ScanRange(int64_t lo, int64_t hi, int* partitions_scanned = nullptr)
       const;
 
+  /// Whether partition `i`'s value range intersects [lo, hi].
+  bool Overlaps(int i, int64_t lo, int64_t hi) const {
+    return ranges_[i].first <= hi && lo <= ranges_[i].second;
+  }
   /// How many partitions [lo, hi] would touch.
   int CountOverlapping(int64_t lo, int64_t hi) const;
+  /// How many rows those partitions hold (before filtering to [lo, hi]).
+  int64_t CountOverlappingRows(int64_t lo, int64_t hi) const;
 
  private:
   ColumnId part_col_ = 0;

@@ -66,6 +66,34 @@ void Column::AppendRange(const Column& src, int64_t begin, int64_t end) {
   }
 }
 
+namespace {
+
+template <typename T>
+void GatherInto(std::vector<T>* dst, const std::vector<T>& src,
+                const int64_t* rows, int64_t n) {
+  const size_t base = dst->size();
+  dst->resize(base + static_cast<size_t>(n));
+  T* out = dst->data() + base;
+  for (int64_t i = 0; i < n; ++i) out[i] = src[rows[i]];
+}
+
+}  // namespace
+
+void Column::AppendGather(const Column& src, const int64_t* rows,
+                          int64_t n) {
+  switch (type_) {
+    case DataType::kInt64:
+      GatherInto(&ints_, src.ints_, rows, n);
+      break;
+    case DataType::kDouble:
+      GatherInto(&doubles_, src.doubles_, rows, n);
+      break;
+    case DataType::kString:
+      GatherInto(&strings_, src.strings_, rows, n);
+      break;
+  }
+}
+
 void Column::Clear() {
   ints_.clear();
   doubles_.clear();
@@ -132,25 +160,11 @@ void Table::AppendRow(const std::vector<Value>& row) {
 
 Table Table::Gather(const std::vector<int64_t>& row_ids) const {
   Table out(schema_);
+  const auto n = static_cast<int64_t>(row_ids.size());
   for (int c = 0; c < num_columns(); ++c) {
-    out.cols_[c].Reserve(static_cast<int64_t>(row_ids.size()));
+    out.cols_[c].AppendGather(cols_[c], row_ids.data(), n);
   }
-  for (int64_t id : row_ids) {
-    for (int c = 0; c < num_columns(); ++c) {
-      switch (cols_[c].type()) {
-        case DataType::kInt64:
-          out.cols_[c].AppendInt(cols_[c].Int(id));
-          break;
-        case DataType::kDouble:
-          out.cols_[c].AppendDouble(cols_[c].Double(id));
-          break;
-        case DataType::kString:
-          out.cols_[c].AppendString(cols_[c].Str(id));
-          break;
-      }
-    }
-  }
-  out.num_rows_ = static_cast<int64_t>(row_ids.size());
+  out.num_rows_ = n;
   return out;
 }
 

@@ -58,6 +58,10 @@ class Column {
   /// Bulk-appends `src`'s rows [begin, end) — the batch-slicing fast path
   /// of the streaming executor (one memcpy-ish insert, no per-row switch).
   void AppendRange(const Column& src, int64_t begin, int64_t end);
+  /// Appends `src`'s rows `rows[0..n)` in that order — the gather behind
+  /// index scans and filtered partitions (one type switch per call, not
+  /// per cell).
+  void AppendGather(const Column& src, const int64_t* rows, int64_t n);
   /// Drops all values but keeps the declared type (batch reuse).
   void Clear();
 

@@ -1,5 +1,7 @@
 #include "exec/internal.h"
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -70,24 +72,54 @@ Schema AggOutputSchema(const Schema& in, const std::vector<ColumnId>& groups,
 
 namespace {
 
-std::string GroupKey(const Batch& b, int64_t row,
-                     const std::vector<ColumnId>& group_cols) {
-  std::string key;
+template <typename T>
+void AppendBytes(const T& v, std::string* key) {
+  key->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// Writes row `row`'s group columns into `key` as a binary string whose
+/// equality is group equality: 8 raw bytes per int64; 8 bytes per double
+/// with -0 mapped to +0 and every NaN to one NaN (the ties CompareDoubles
+/// makes, so hash and stream aggregation form the same groups); a length
+/// prefix and the bytes per string, so no two column splits collide.
+void GroupKey(const Batch& b, int64_t row,
+              const std::vector<ColumnId>& group_cols, std::string* key) {
+  key->clear();
   for (ColumnId c : group_cols) {
-    key += b.col(c).Get(row).ToString();
-    key += '\x01';
+    const engine::Column& col = b.col(c);
+    switch (col.type()) {
+      case DataType::kInt64:
+        AppendBytes(col.Int(row), key);
+        break;
+      case DataType::kDouble: {
+        double v = col.Double(row);
+        if (v == 0) v = 0.0;
+        if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
+        AppendBytes(v, key);
+        break;
+      }
+      case DataType::kString: {
+        const std::string& s = col.Str(row);
+        AppendBytes(static_cast<uint64_t>(s.size()), key);
+        key->append(s);
+        break;
+      }
+    }
   }
-  return key;
 }
 
 }  // namespace
 
 void LocalAgg::Add(const Batch& b, const std::vector<ColumnId>& group_cols,
                    const std::vector<AggSpec>& aggs) {
+  // The key buffer lives on this thread's stack, not in the LocalAgg:
+  // fragments' LocalAggs sit side by side, and a per-row write into one
+  // would contend for the cache line its neighbour reads.
+  std::string key;
   for (int64_t r = 0; r < b.num_rows(); ++r) {
-    std::string key = GroupKey(b, r, group_cols);
+    GroupKey(b, r, group_cols, &key);
     auto [it, inserted] =
-        slots.try_emplace(std::move(key), static_cast<int64_t>(accs.size()));
+        slots.try_emplace(key, static_cast<int64_t>(accs.size()));
     if (inserted) {
       std::vector<Value> vals;
       vals.reserve(group_cols.size());

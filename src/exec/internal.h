@@ -108,7 +108,7 @@ inline void Accumulate(const std::vector<engine::AggSpec>& aggs,
   }
 }
 
-/// The hash-aggregation state of one pipeline: group-key string -> slot,
+/// The hash-aggregation state of one pipeline: binary group key -> slot,
 /// plus each group's key values (for emitting) and one Acc per aggregate.
 /// Slots are numbered in first-seen order, and Merge and Emit keep it.
 struct LocalAgg {

@@ -112,16 +112,21 @@ OpPtr IndexPositionScan(const engine::OrderedIndex* index, int64_t pos_begin,
                         int64_t batch_rows = kDefaultBatchRows);
 
 /// Streams a partitioned table partition-by-partition; with a range,
-/// non-overlapping partitions are pruned (never touched) and rows of the
-/// boundary partitions are filtered to the range. `part_begin`/`part_end`
-/// (-1 = all) restrict the scan to a subrange of partition indices — the
-/// morsel unit of a partition-parallel scan.
+/// non-overlapping partitions are pruned (never touched), partitions wholly
+/// inside it are copied in bulk, and rows of the boundary partitions are
+/// filtered to the range. `row_begin`/`row_end` (-1 = all) restrict the
+/// scan to positions [row_begin, row_end) of the rows of the surviving
+/// partitions, taken in partition then row order — the morsel unit of a
+/// partition-parallel scan, so fragments split the surviving rows evenly
+/// and their concatenation is the serial stream. A partition split across
+/// morsels is counted in `partitions_scanned` by the one holding its first
+/// row.
 OpPtr PartitionedScan(const engine::PartitionedTable* table,
                       std::optional<std::pair<int64_t, int64_t>> range =
                           std::nullopt,
                       opt::ExecStats* stats = nullptr,
                       int64_t batch_rows = kDefaultBatchRows,
-                      int part_begin = -1, int part_end = -1);
+                      int64_t row_begin = -1, int64_t row_end = -1);
 
 // ---------------------------------------------------------------------------
 // Order-preserving streaming operators.

@@ -1,6 +1,7 @@
 #include "exec/operator.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <unordered_map>
@@ -144,9 +145,7 @@ class IndexRangeScanOp : public OperatorBase {
     const int64_t stop = std::min(end_, pos_ + batch_rows_);
     const Table& t = index_->table();
     for (int c = 0; c < t.num_columns(); ++c) {
-      for (int64_t p = pos_; p < stop; ++p) {
-        out->col(c).AppendFrom(t.col(c), index_->RowAt(p));
-      }
+      out->col(c).AppendGather(t.col(c), index_->RowsFrom(pos_), stop - pos_);
     }
     out->SetRowCount(stop - pos_);
     pos_ = stop;
@@ -173,63 +172,78 @@ class IndexRangeScanOp : public OperatorBase {
   int64_t end_ = 0;
 };
 
+/// Streams the rows of the partitions that overlap the range (all of them
+/// without one), in partition then row order — the serial stream order —
+/// restricted to positions [row_begin, row_end) of that row sequence.
 class PartitionedScanOp : public OperatorBase {
  public:
   PartitionedScanOp(const engine::PartitionedTable* table,
                     std::optional<std::pair<int64_t, int64_t>> range,
-                    opt::ExecStats* stats, int64_t batch_rows, int part_begin,
-                    int part_end)
-      : table_(table),
-        range_(range),
-        stats_(stats),
-        batch_rows_(batch_rows),
-        part_(part_begin < 0 ? 0 : std::min(part_begin,
-                                            table->num_partitions())),
-        part_end_(part_end < 0 ? table->num_partitions()
-                               : std::min(part_end,
-                                          table->num_partitions())) {
+                    opt::ExecStats* stats, int64_t batch_rows,
+                    int64_t row_begin, int64_t row_end)
+      : table_(table), range_(range), stats_(stats), batch_rows_(batch_rows) {
     schema_ = table->num_partitions() > 0 ? table->partition(0).schema()
                                           : Schema();
+    const int64_t begin = std::max<int64_t>(0, row_begin);
+    remaining_ = row_end < 0 ? std::numeric_limits<int64_t>::max()
+                             : std::max<int64_t>(0, row_end - begin);
+    // Seek to `begin`: skip pruned partitions and the overlapping ones
+    // that lie wholly before it.
+    row_ = begin;
+    while (part_ < table->num_partitions() &&
+           (!Overlaps(part_) || row_ >= table->partition(part_).num_rows())) {
+      if (Overlaps(part_)) row_ -= table->partition(part_).num_rows();
+      ++part_;
+    }
   }
 
   bool Next(Batch* out) override {
     PrepareBatch(out);
-    while (part_ < part_end_) {
-      if (range_.has_value() &&
-          (table_->range(part_).second < range_->first ||
-           range_->second < table_->range(part_).first)) {
+    while (remaining_ > 0 && part_ < table_->num_partitions() &&
+           out->num_rows() < batch_rows_) {
+      if (!Overlaps(part_)) {
         ++part_;  // pruned: never touched
-        row_ = 0;
         continue;
       }
       const Table& p = table_->partition(part_);
+      // Counted by the morsel holding its first row, so a partition split
+      // across fragments counts once.
       if (row_ == 0 && p.num_rows() > 0 && stats_ != nullptr) {
         ++stats_->partitions_scanned;
       }
-      if (!range_.has_value()) {
-        if (EmitTableSlice(p, &row_, batch_rows_, out)) {
-          if (stats_ != nullptr) stats_->rows_scanned += out->num_rows();
-          return true;
+      const int64_t stop =
+          row_ + std::min({p.num_rows() - row_, remaining_,
+                           batch_rows_ - out->num_rows()});
+      if (!range_.has_value() ||
+          (range_->first <= table_->range(part_).first &&
+           table_->range(part_).second <= range_->second)) {
+        for (int c = 0; c < p.num_columns(); ++c) {
+          out->col(c).AppendRange(p.col(c), row_, stop);
         }
+        out->SetRowCount(out->num_rows() + stop - row_);
       } else {
-        // Boundary partitions: stream rows, filtering to the value range.
+        // Boundary partition: keep the rows inside the value range.
         const engine::Column& key = p.col(table_->partition_column());
-        while (row_ < p.num_rows() && out->num_rows() < batch_rows_) {
-          const int64_t v = key.Int(row_);
-          if (stats_ != nullptr) ++stats_->rows_scanned;
+        selected_.clear();
+        for (int64_t r = row_; r < stop; ++r) {
+          const int64_t v = key.Int(r);
           if (range_->first <= v && v <= range_->second) {
-            for (int c = 0; c < p.num_columns(); ++c) {
-              out->col(c).AppendFrom(p.col(c), row_);
-            }
-            out->FinishRow();
+            selected_.push_back(r);
           }
-          ++row_;
         }
-        if (out->num_rows() >= batch_rows_) return true;
-        if (row_ < p.num_rows()) continue;  // batch full mid-partition
+        const auto n = static_cast<int64_t>(selected_.size());
+        for (int c = 0; c < p.num_columns(); ++c) {
+          out->col(c).AppendGather(p.col(c), selected_.data(), n);
+        }
+        out->SetRowCount(out->num_rows() + n);
       }
-      ++part_;
-      row_ = 0;
+      if (stats_ != nullptr) stats_->rows_scanned += stop - row_;
+      remaining_ -= stop - row_;
+      row_ = stop;
+      if (row_ == p.num_rows()) {
+        ++part_;
+        row_ = 0;
+      }
     }
     return out->num_rows() > 0;
   }
@@ -251,13 +265,19 @@ class PartitionedScanOp : public OperatorBase {
   }
 
  private:
+  bool Overlaps(int part) const {
+    return !range_.has_value() ||
+           table_->Overlaps(part, range_->first, range_->second);
+  }
+
   const engine::PartitionedTable* table_;
   std::optional<std::pair<int64_t, int64_t>> range_;
   opt::ExecStats* stats_;
   int64_t batch_rows_;
   int part_ = 0;
-  int part_end_ = 0;
-  int64_t row_ = 0;
+  int64_t row_ = 0;        // next row within partition part_
+  int64_t remaining_ = 0;  // rows of the morsel not yet scanned
+  std::vector<int64_t> selected_;
 };
 
 // ---------------------------------------------------------------------------
@@ -866,9 +886,9 @@ OpPtr IndexPositionScan(const engine::OrderedIndex* index, int64_t pos_begin,
 OpPtr PartitionedScan(const engine::PartitionedTable* table,
                       std::optional<std::pair<int64_t, int64_t>> range,
                       opt::ExecStats* stats, int64_t batch_rows,
-                      int part_begin, int part_end) {
+                      int64_t row_begin, int64_t row_end) {
   return std::make_unique<PartitionedScanOp>(table, range, stats, batch_rows,
-                                             part_begin, part_end);
+                                             row_begin, row_end);
 }
 
 OpPtr Filter(OpPtr child, std::vector<Predicate> preds) {

@@ -368,14 +368,8 @@ class Planner {
       double rows = scanned;
       if (covered >= 0) {
         s->range = {ranges[covered].lo, ranges[covered].hi};
-        scanned = 0;
-        for (int p = 0; p < t.partitions->num_partitions(); ++p) {
-          if (t.partitions->range(p).first <= ranges[covered].hi &&
-              ranges[covered].lo <= t.partitions->range(p).second) {
-            scanned += static_cast<double>(t.partitions->partition(p)
-                                               .num_rows());
-          }
-        }
+        scanned = static_cast<double>(t.partitions->CountOverlappingRows(
+            ranges[covered].lo, ranges[covered].hi));
         rows = std::min(scanned, DrivingRangeRows(ranges[covered].col,
                                                   ranges[covered].lo,
                                                   ranges[covered].hi));
@@ -1015,8 +1009,10 @@ std::vector<std::pair<int64_t, int64_t>> SplitRange(int64_t total, int dop) {
 }
 
 /// Morsel boundaries for the template's driving scan: row ranges for a
-/// table scan, key-order position ranges for an index scan, partition
-/// index ranges for a partitioned scan.
+/// table scan, key-order position ranges for an index scan, and for a
+/// partitioned scan ranges over the rows of the partitions that survive
+/// pruning (in partition then row order), so a range that keeps a few
+/// adjacent partitions still splits evenly across fragments.
 std::vector<std::pair<int64_t, int64_t>> MorselRanges(
     const PhysicalNode& tmpl, const std::vector<TableRef>& tables, int dop) {
   const PhysicalNode& leaf = ChainLeaf(tmpl);
@@ -1038,14 +1034,19 @@ std::vector<std::pair<int64_t, int64_t>> MorselRanges(
       return out;
     }
     case Kind::kPartitionedScan:
-      return SplitRange(t.partitions->num_partitions(), dop);
+      return SplitRange(
+          leaf.range.has_value()
+              ? t.partitions->CountOverlappingRows(leaf.range->first,
+                                                   leaf.range->second)
+              : t.partitions->total_rows(),
+          dop);
     default:
       throw std::logic_error("MorselRanges: template leaf is not a scan");
   }
 }
 
 /// Compiles one worker's copy of a fragment template: the driving scan is
-/// replaced by its morsel (row/position/partition range), hash joins probe
+/// replaced by its morsel (row/position range), hash joins probe
 /// the pre-built shared table, and `stats` is the fragment's *private*
 /// ExecStats. No CountingOp wrappers — actual_rows would be written from
 /// every worker at once; the exchange node above is counted instead.
@@ -1065,9 +1066,8 @@ exec::OpPtr CompileFragment(
                                      opts.batch_rows);
     case Kind::kPartitionedScan:
       return exec::PartitionedScan(tables[n.table_index].partitions, n.range,
-                                   stats, opts.batch_rows,
-                                   static_cast<int>(morsel.first),
-                                   static_cast<int>(morsel.second));
+                                   stats, opts.batch_rows, morsel.first,
+                                   morsel.second);
     case Kind::kFilter:
       return exec::Filter(CompileFragment(*n.children[0], tables, stats,
                                           opts, morsel, shared, shared_idx),

@@ -9,6 +9,10 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "engine/index.h"
 #include "engine/ops.h"
@@ -384,6 +388,62 @@ TEST(HashAggregateTest, GroupsComeOutInFirstSeenOrder) {
   EXPECT_TRUE(TablesEqualExactly(out, Drain(par.get())));
 }
 
+/// `t` grouped on every column with a count, sorted by the group columns
+/// (Value order: -0 ties +0, NaN ties NaN) — through HashAggregate,
+/// ParallelHashAggregate at 1..3 fragments, and StreamAggregate(Sort).
+std::vector<Table> GroupEveryWay(const Table& t) {
+  std::vector<engine::ColumnId> groups;
+  for (int c = 0; c < t.num_columns(); ++c) groups.push_back(c);
+  const std::vector<AggSpec> count{{AggSpec::Kind::kCount, 0, "n"}};
+  std::vector<Table> out;
+  out.push_back(Drain(HashAggregate(Scan(&t, nullptr, 2), groups, count).get()));
+  for (int fragments : {1, 2, 3}) {
+    out.push_back(Drain(ParallelAgg(&t, fragments, groups, count).get()));
+  }
+  out.push_back(Drain(
+      StreamAggregate(Sort(Scan(&t, nullptr, 2), groups), groups, count)
+          .get()));
+  for (Table& r : out) r = engine::SortBy(r, groups);
+  return out;
+}
+
+TEST(HashAggregateTest, GroupKeysAreExactForDoublesAndStrings) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Schema ds;
+  ds.Add("d", DataType::kDouble);
+  Table doubles(ds);
+  for (double v : {1.0000001, 1.0000002, 0.0, -0.0, nan, -nan}) {
+    doubles.AppendRow({Value(v)});
+  }
+  // 1.0000001 and 1.0000002 stay apart; the zeros and the NaNs tie.
+  const std::vector<Table> by_double = GroupEveryWay(doubles);
+  for (const Table& got : by_double) {
+    ASSERT_EQ(got.num_rows(), 4);
+    EXPECT_EQ(got.col(0).Double(0), 0.0);
+    EXPECT_EQ(got.col(1).Int(0), 2);
+    EXPECT_EQ(got.col(0).Double(1), 1.0000001);
+    EXPECT_EQ(got.col(0).Double(2), 1.0000002);
+    EXPECT_TRUE(std::isnan(got.col(0).Double(3)));
+    EXPECT_EQ(got.col(1).Int(3), 2);
+    EXPECT_TRUE(TablesEqualExactly(by_double[0], got));
+  }
+
+  // Two string columns whose concatenations with a separator would meet.
+  Schema ss;
+  ss.Add("a", DataType::kString);
+  ss.Add("b", DataType::kString);
+  Table strings(ss);
+  strings.AppendRow({Value(std::string("a\x01b")), Value(std::string("c"))});
+  strings.AppendRow({Value(std::string("a")), Value(std::string("b\x01c"))});
+  const std::vector<Table> by_string = GroupEveryWay(strings);
+  for (const Table& got : by_string) {
+    ASSERT_EQ(got.num_rows(), 2);
+    EXPECT_EQ(got.col(2).Int(0), 1);
+    EXPECT_EQ(got.col(2).Int(1), 1);
+    EXPECT_TRUE(TablesEqualExactly(by_string[0], got));
+  }
+}
+
 TEST(HashJoinTest, StreamingProbeMatchesOracleAndPreservesOrder) {
   Table fact = engine::SortBy(MakeKv(2000, 50), {0});
   Schema ds;
@@ -440,6 +500,115 @@ TEST(PartitionedScanTest, PrunesAndMatchesMaterializingScan) {
   EXPECT_TRUE(engine::SameRowMultiset(reference, streamed));
   EXPECT_EQ(stats.partitions_scanned, touched);
   EXPECT_LT(stats.partitions_scanned, 16);
+}
+
+/// 16 partitions of width 10 over keys [0, 160) with very unequal sizes,
+/// five of them empty; column 1 is the source row number, so any
+/// misplaced or duplicated row shows.
+engine::PartitionedTable UnequalPartitions() {
+  const int64_t sizes[16] = {5, 0, 37, 1, 0, 0, 120, 3, 64, 0, 9, 250, 0, 2,
+                             17, 40};
+  Schema s;
+  s.Add("k", DataType::kInt64);
+  s.Add("row", DataType::kInt64);
+  Table t(s);
+  // Interleave the buckets, so partition order is not the source order.
+  for (int64_t j = 0; j < 250; ++j) {
+    for (int64_t b = 0; b < 16; ++b) {
+      if (j < sizes[b]) {
+        t.AppendRow({Value(b * 10 + (j * 7) % 10), Value(t.num_rows())});
+      }
+    }
+  }
+  return engine::PartitionedTable::PartitionByRange(t, 0, 16);
+}
+
+TEST(PartitionedScanTest, RowMorselsConcatenateToTheSerialScan) {
+  const engine::PartitionedTable parts = UnequalPartitions();
+  ASSERT_EQ(parts.num_partitions(), 16);
+  ASSERT_EQ(parts.partition(1).num_rows(), 0);
+  const std::vector<std::optional<std::pair<int64_t, int64_t>>> ranges = {
+      std::nullopt, {{23, 118}}, {{61, 64}}, {{40, 59}}, {{0, 159}}};
+  for (const auto& range : ranges) {
+    // The morsel row space by hand: every row of every surviving
+    // partition, in partition then row order.
+    std::vector<std::pair<int, int64_t>> space;
+    for (int p = 0; p < parts.num_partitions(); ++p) {
+      if (range && !parts.Overlaps(p, range->first, range->second)) continue;
+      for (int64_t r = 0; r < parts.partition(p).num_rows(); ++r) {
+        space.emplace_back(p, r);
+      }
+    }
+    const auto total = static_cast<int64_t>(space.size());
+    for (int64_t batch : {int64_t{1}, int64_t{7}, int64_t{4096}}) {
+      const std::string where =
+          (range ? "range [" + std::to_string(range->first) + ", " +
+                       std::to_string(range->second) + "]"
+                 : std::string("no range")) +
+          " batch " + std::to_string(batch);
+      opt::ExecStats serial_stats;
+      OpPtr serial = PartitionedScan(&parts, range, &serial_stats, batch);
+      const Table whole = Drain(serial.get(), &serial_stats);
+      EXPECT_EQ(serial_stats.rows_scanned, total) << where;
+      for (int k = 1; k <= 7; ++k) {
+        SCOPED_TRACE(where + " k=" + std::to_string(k));
+        Table joined(whole.schema());
+        int64_t rows_scanned = 0;
+        int64_t partitions_scanned = 0;
+        for (int f = 0; f < k; ++f) {
+          const int64_t begin = total * f / k;
+          const int64_t end = total * (f + 1) / k;
+          opt::ExecStats stats;
+          OpPtr morsel =
+              PartitionedScan(&parts, range, &stats, batch, begin, end);
+          const Table got = Drain(morsel.get(), &stats);
+          // Each morsel is exactly its slice of the row space, filtered.
+          Table expected(whole.schema());
+          for (int64_t i = begin; i < end; ++i) {
+            const Table& p = parts.partition(space[i].first);
+            const int64_t key = p.col(0).Int(space[i].second);
+            if (range && (key < range->first || key > range->second)) {
+              continue;
+            }
+            expected.AppendRow({Value(key), p.col(1).Get(space[i].second)});
+          }
+          EXPECT_TRUE(TablesEqualExactly(expected, got))
+              << "morsel [" << begin << ", " << end << ")";
+          EXPECT_EQ(stats.rows_scanned, end - begin);
+          rows_scanned += stats.rows_scanned;
+          partitions_scanned += stats.partitions_scanned;
+          for (int64_t r = 0; r < got.num_rows(); ++r) {
+            joined.AppendRow({got.col(0).Get(r), got.col(1).Get(r)});
+          }
+        }
+        EXPECT_TRUE(TablesEqualExactly(whole, joined));
+        EXPECT_EQ(rows_scanned, serial_stats.rows_scanned);
+        EXPECT_EQ(partitions_scanned, serial_stats.partitions_scanned);
+      }
+    }
+  }
+}
+
+TEST(PartitionedScanTest, MorselStartingMidPartitionAfterTheFirst) {
+  const engine::PartitionedTable parts = UnequalPartitions();
+  // [23, 118] keeps partitions 2..11; its row space starts with the 37
+  // rows of partition 2, then 3 (1 row), 6 (120 rows), ... Row 40 of the
+  // space is row 2 of partition 6, wholly inside the range.
+  opt::ExecStats stats;
+  OpPtr morsel = PartitionedScan(&parts, {{23, 118}}, &stats, 4096, 40, 45);
+  const Table got = Drain(morsel.get(), &stats);
+  const Table& p6 = parts.partition(6);
+  ASSERT_EQ(got.num_rows(), 5);
+  for (int64_t r = 0; r < 5; ++r) {
+    EXPECT_EQ(got.col(1).Int(r), p6.col(1).Int(2 + r));
+  }
+  EXPECT_EQ(stats.rows_scanned, 5);
+  EXPECT_EQ(stats.partitions_scanned, 0);  // its first row is not here
+  // One row earlier: the morsel starts partition 6 and counts it.
+  opt::ExecStats from_start;
+  Drain(PartitionedScan(&parts, {{23, 118}}, &from_start, 4096, 38, 45).get(),
+        &from_start);
+  EXPECT_EQ(from_start.partitions_scanned, 1);
 }
 
 TEST(OperatorContractTest, InvalidColumnIdsThrow) {

@@ -237,6 +237,64 @@ TEST_F(WarehouseDifferentialTest, AllThirteenDateTemplates) {
   }
 }
 
+// Partition pruning under a parallel aggregate: no fact index, so the
+// elided join leaves a PartitionedScan, and its morsels are row ranges
+// over the rows of the surviving partitions. Date ranges that keep 1, 2
+// and 13 of 60 partitions (cut mid-partition at both ends) must give the
+// dop-1 answer, scan the same rows and count each partition once.
+TEST_F(WarehouseDifferentialTest, PrunedPartitionedScanSplitsSurvivingRows) {
+  const engine::PartitionedTable parts =
+      engine::PartitionedTable::PartitionByRange(fact_, 0, 60);
+  const warehouse::DateDimColumns d;
+  const warehouse::StoreSalesColumns f;
+  const int64_t first_sk = dim_.col(d.d_date_sk).Int(0);
+  auto date_of = [&](int64_t sk) { return dim_.col(d.d_date).Int(sk - first_sk); };
+  struct Case {
+    int64_t lo_sk, hi_sk;
+    int partitions;
+  };
+  const Case cases[] = {
+      {parts.range(20).first + 3, parts.range(20).first + 10, 1},
+      {parts.range(20).first + 10, parts.range(21).first + 5, 2},
+      {parts.range(7).first + 12, parts.range(19).first + 4, 13},
+  };
+  CostModel cm;
+  cm.fragment_startup = 0.0;
+  for (const Case& c : cases) {
+    const opt::DateRangeQuery dq{
+        "pruned_" + std::to_string(c.partitions),
+        {Predicate{d.d_date, Predicate::Op::kBetween, Value(date_of(c.lo_sk)),
+                   Value(date_of(c.hi_sk))}},
+        f.ss_sold_date_sk,
+        d.d_date_sk,
+        {f.ss_store_sk},
+        {{AggSpec::Kind::kSum, f.ss_net_paid, "sum_net"},
+         {AggSpec::Kind::kCount, 0, "cnt"}}};
+    LogicalQuery q = warehouse::ToLogicalQuery(
+        dq, &fact_, &dim_, /*fact_sk_index=*/nullptr, &parts, dim_ods_);
+    SCOPED_TRACE(dq.name);
+    ExecStats serial_stats;
+    const Table serial = PlanQuery(q, cm).Execute(&serial_stats);
+    EXPECT_EQ(serial_stats.partitions_scanned, c.partitions);
+
+    PlanOptions opts;
+    opts.dop = 4;
+    opts.pool = pool_.get();
+    opts.batch_rows = 7;
+    PhysicalPlan plan = PlanQuery(q, cm, opts);
+    ASSERT_TRUE(ExplainMentions(plan, "ParallelHashAggregate dop=4"))
+        << plan.Explain();
+    ASSERT_TRUE(ExplainMentions(plan, "PartitionedScan")) << plan.Explain();
+    ExecStats stats;
+    const Table parallel = RunChecked(plan, &stats);
+    EXPECT_TRUE(RowsIdentical(Canonical(serial), Canonical(parallel)));
+    EXPECT_EQ(stats.rows_scanned, serial_stats.rows_scanned);
+    EXPECT_EQ(stats.partitions_scanned, c.partitions);
+
+    SweepAgainstSerial(q, pool_.get());
+  }
+}
+
 TEST_F(WarehouseDifferentialTest, DailySalesStaysSortFreeAtEveryDop) {
   LogicalQuery q = warehouse::DailySalesQuery(
       &fact_, &dim_, index_.get(), parts_.get(), dim_ods_, kStartYear + 1);
